@@ -16,7 +16,6 @@
 #include "regex/content_model.h"
 #include "util/strings.h"
 #include "util/symbol_table.h"
-#include "xml/dtd_parser.h"
 #include "xml/dtdc_io.h"
 #include "xml/xml_parser.h"
 
@@ -146,7 +145,7 @@ class StreamRun {
   };
 
   struct Frame {
-    uint32_t seq = 0;  // pre-order id == the DOM parser's vertex id
+    uint32_t seq = 0;  // pre-order id == ParseXml's vertex id
     Symbol label = kInvalidSymbol;
     LabelInfo* info = nullptr;
     bool track_word = false;  // automaton run + word buffer live
@@ -970,18 +969,13 @@ StreamOutcome StreamValidator::Run(ByteSource& source,
   std::optional<DtdStructure> doc_dtd;
   const StreamEvent* pending = nullptr;
   if (ev.kind == StreamEventKind::kDoctype) {
-    if (ev.has_internal_subset) {
-      DtdParseOptions dopt;
-      dopt.limits = limits;
-      dopt.deadline = deadline;
-      Result<DtdStructure> parsed = ParseDtd(std::string(ev.internal_subset),
-                                             std::string(ev.name), dopt);
-      if (!parsed.ok()) {
-        out.parse = parsed.status();
-        return out;
-      }
-      doc_dtd = std::move(parsed).value();
+    Result<std::optional<DtdStructure>> parsed =
+        ParseDoctypeDtd(ev, limits, deadline);
+    if (!parsed.ok()) {
+      out.parse = parsed.status();
+      return out;
     }
+    doc_dtd = std::move(parsed).value();
   } else {
     pending = &ev;
   }
@@ -1010,26 +1004,22 @@ SelfDescribingStreamResult StreamValidateSelfDescribing(
   const StreamEvent* pending = nullptr;
   if (ev.kind == StreamEventKind::kDoctype) {
     r.doctype_name = std::string(ev.name);
-    if (ev.has_internal_subset) {
-      std::string subset(ev.internal_subset);
-      DtdParseOptions dopt;
-      dopt.limits = options.limits;
-      dopt.deadline = options.deadline;
-      Result<DtdStructure> dtd = ParseDtd(subset, r.doctype_name, dopt);
-      if (!dtd.ok()) {
-        // The DOM parser fails the whole parse here, before any content.
-        r.outcome.parse = dtd.status();
-        return r;
-      }
-      r.has_dtd = true;
-      r.dtd = std::move(dtd).value();
-      if (!subset.empty()) {
-        Result<DtdC> dtdc = ParseDtdC(subset, r.doctype_name);
-        if (!dtdc.ok()) {
-          deferred = dtdc.status();
-        } else {
-          r.sigma = std::move(dtdc.value().sigma);
-        }
+    Result<std::optional<DtdStructure>> dtd =
+        ParseDoctypeDtd(ev, options.limits, options.deadline);
+    if (!dtd.ok()) {
+      // ParseXml fails the whole parse here, before any content.
+      r.outcome.parse = dtd.status();
+      return r;
+    }
+    r.dtd = std::move(dtd).value();
+    r.has_dtd = r.dtd.has_value();
+    if (!ev.internal_subset.empty()) {
+      Result<DtdC> dtdc =
+          ParseDtdC(std::string(ev.internal_subset), r.doctype_name);
+      if (!dtdc.ok()) {
+        deferred = dtdc.status();
+      } else {
+        r.sigma = std::move(dtdc.value().sigma);
       }
     }
   } else {
@@ -1047,7 +1037,7 @@ SelfDescribingStreamResult StreamValidateSelfDescribing(
     r.outcome = sv.RunCore(tok, pending, *r.dtd, options.deadline);
   } else {
     // No DTD to validate against; still drain the stream so parse errors
-    // surface exactly as the DOM parser reports them.
+    // surface exactly as ParseXml reports them.
     while (s.ok() && ev.kind != StreamEventKind::kEndDocument) {
       s = tok.Next(&ev);
     }

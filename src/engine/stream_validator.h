@@ -27,7 +27,7 @@
 //     whose *inverse-constrained* extents exceed memory are out of
 //     scope, as DESIGN.md records.)
 //
-// Verdict parity: vertex ids equal the DOM parser's pre-order AddVertex
+// Verdict parity: vertex ids equal ParseXml's pre-order AddVertex
 // ids, violations are re-ordered to the DOM checkers' emission order,
 // and messages reuse the same rendering, so ValidationReport::ToString()
 // and ConstraintReport::ToString() are byte-identical to the
@@ -51,7 +51,7 @@
 namespace xic {
 
 struct StreamOptions {
-  /// Drop text runs consisting only of whitespace, like the DOM parser's
+  /// Drop text runs consisting only of whitespace, like
   /// XmlParseOptions::skip_ignorable_whitespace.
   bool skip_ignorable_whitespace = true;
   /// Structural-check options (allow_missing_attributes, max_violations;
@@ -61,7 +61,7 @@ struct StreamOptions {
   /// here and ignored -- the streaming evaluation is merge-join based).
   CheckOptions check;
   /// Input bounds for the tokenizer (document bytes, depth, attributes,
-  /// expansion), with the DOM parser's exact kResourceExhausted texts.
+  /// expansion); the same limits ParseXml enforces.
   ResourceLimits limits;
   /// Wall-clock budget; polled per start tag and per constraint.
   Deadline deadline;
@@ -130,7 +130,7 @@ class StreamValidator {
   /// Drives a tokenizer that already consumed any DOCTYPE. `pending` is
   /// the first content event when the caller pulled one, `tok_dtd` the
   /// DTD governing attribute tokenization (the document's own internal
-  /// subset when present, like the DOM parser).
+  /// subset when present, like ParseXml).
   StreamOutcome RunCore(StreamTokenizer& tok, const StreamEvent* pending,
                         const DtdStructure& tok_dtd,
                         const Deadline& deadline) const;

@@ -616,7 +616,7 @@ std::optional<std::string> CompareStream(const std::string& text,
   sopt.spill_budget_bytes = spill_budget;
   // Tiny chunks so one text run regularly spans several kText events.
   sopt.chunk_bytes = 64;
-  StringSource source(text);
+  ChunkedSource source(text);
   SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
 
   Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
@@ -713,9 +713,9 @@ OracleOutcome StreamTrial(uint64_t seed, const GenOptions& opt) {
     return outcome;
   }
   std::string text = WriteDocumentWithDtdC(doc.value(), dtd, sigma);
-  // A third of the trials corrupt the bytes: both parsers must then fail
-  // with the identical status (message, line, column) -- this is what
-  // keeps the tokenizer's error surface pinned to the DOM parser's.
+  // A third of the trials corrupt the bytes: both pipelines must then
+  // fail with the identical status (message, line, column) -- this pins
+  // the tokenizer's in-place and chunked buffer modes to each other.
   if (rng.Chance(33)) {
     size_t edits = rng.Range(1, 3);
     for (size_t i = 0; i < edits && !text.empty(); ++i) {

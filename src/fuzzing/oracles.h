@@ -26,9 +26,12 @@
 //                 spill budgets from never-spill to spill-everything)
 //                 vs. the materialized DOM pipeline: parse status,
 //                 structure report and constraint report must agree
-//                 byte-for-byte, witnesses included. A third of trials
-//                 corrupt the serialized bytes so the two parsers' error
-//                 texts and positions are compared too.
+//                 byte-for-byte, witnesses included. The DOM side
+//                 tokenizes in place, the stream side through the
+//                 smallest read chunks (ChunkedSource); a third of
+//                 trials corrupt the serialized bytes so the error texts
+//                 and positions of the tokenizer's two buffer modes are
+//                 compared too.
 //
 // Every oracle has two entry points sharing one comparison core: a
 // seed-driven trial (generate inputs, compare) and a corpus replay
@@ -45,8 +48,23 @@
 #include "fuzzing/corpus.h"
 #include "fuzzing/generate.h"
 #include "util/status.h"
+#include "xml/stream_tokenizer.h"
 
 namespace xic::fuzz {
+
+/// Serves a string through Read() only, never in place, so the tokenizer
+/// runs its sliding buffer over bytes that ParseXml tokenizes in place.
+class ChunkedSource : public ByteSource {
+ public:
+  explicit ChunkedSource(std::string_view text) : inner_(text) {}
+  Result<size_t> Read(char* buf, size_t max) override {
+    return inner_.Read(buf, max);
+  }
+  std::optional<uint64_t> size() const override { return inner_.size(); }
+
+ private:
+  StringSource inner_;
+};
 
 enum class OracleId {
   kChecker,

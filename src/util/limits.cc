@@ -15,10 +15,10 @@ ResourceLimits ResourceLimits::Unlimited() {
 }
 
 Status CheckLimit(size_t value, size_t limit, const char* limit_name,
-                  std::string what) {
+                  std::string_view what) {
   if (limit == 0 || value <= limit) return Status::OK();
   return Status::LimitExceeded(
-      limit_name, std::move(what) + " (" + std::to_string(value) +
+      limit_name, std::string(what) + " (" + std::to_string(value) +
                       " exceeds limit " + std::to_string(limit) + ")");
 }
 

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -59,9 +60,10 @@ struct ResourceLimits {
 };
 
 /// Returns OK when `value` <= `limit` (or the limit is 0), otherwise a
-/// kResourceExhausted status whose limit() is `limit_name`.
+/// kResourceExhausted status whose limit() is `limit_name`. `what` is
+/// copied only on failure, so a passing check allocates nothing.
 Status CheckLimit(size_t value, size_t limit, const char* limit_name,
-                  std::string what);
+                  std::string_view what);
 
 /// A cooperative cancellation flag, shareable across threads. The token
 /// must outlive every Deadline observing it.

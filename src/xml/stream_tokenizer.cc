@@ -72,23 +72,38 @@ StreamTokenizer::StreamTokenizer(ByteSource& source,
                                  StreamTokenizerOptions options)
     : source_(source), options_(std::move(options)) {
   if (options_.chunk_bytes < 256) options_.chunk_bytes = 256;
-  buf_.resize(options_.chunk_bytes * 2);
+  if (std::optional<std::string_view> whole = source_.view()) {
+    data_ = whole->data();
+    end_ = whole->size();
+    total_read_ = end_;
+    eof_ = true;
+  } else {
+    storage_.resize(options_.chunk_bytes * 2);
+    data_ = storage_.data();
+  }
 }
 
 Status StreamTokenizer::Fill() {
+  if (eof_) return Status::OK();
   if (start_ > 0) {
-    std::memmove(buf_.data(), buf_.data() + start_, end_ - start_);
+    CountLines();  // the consumed bytes are about to be dropped
+    std::memmove(storage_.data(), storage_.data() + start_, end_ - start_);
     base_ += start_;
     end_ -= start_;
     start_ = 0;
+    counted_ = 0;
   }
   return FillPinned();
 }
 
 Status StreamTokenizer::FillPinned() {
   if (eof_) return Status::OK();
-  if (end_ == buf_.size()) buf_.resize(buf_.size() * 2);
-  Result<size_t> n = source_.Read(buf_.data() + end_, buf_.size() - end_);
+  if (end_ == storage_.size()) {
+    storage_.resize(storage_.size() * 2);
+    data_ = storage_.data();
+  }
+  Result<size_t> n =
+      source_.Read(storage_.data() + end_, storage_.size() - end_);
   if (!n.ok()) return n.status();
   if (n.value() == 0) {
     eof_ = true;
@@ -97,8 +112,7 @@ Status StreamTokenizer::FillPinned() {
   end_ += n.value();
   total_read_ += n.value();
   // Sources with an unknown total size are bounded progressively; known
-  // sizes were checked upfront in Next() with the exact total (matching
-  // the DOM parser's message).
+  // sizes were checked upfront in Next() with the exact total.
   if (!source_.size().has_value()) {
     XIC_RETURN_IF_ERROR(CheckLimit(total_read_,
                                    options_.limits.max_document_bytes,
@@ -107,35 +121,26 @@ Status StreamTokenizer::FillPinned() {
   return Status::OK();
 }
 
-Status StreamTokenizer::Ensure(size_t want, size_t* have) {
+Status StreamTokenizer::EnsureSlow(size_t want) {
   while (available() < want && !eof_) {
     XIC_RETURN_IF_ERROR(Fill());
   }
-  *have = available();
   return Status::OK();
 }
 
-bool StreamTokenizer::Peek(std::string_view token) const {
-  if (available() < token.size()) return false;
-  return std::memcmp(buf_.data() + start_, token.data(), token.size()) == 0;
-}
-
-void StreamTokenizer::Consume(size_t n) {
-  const char* p = buf_.data() + start_;
-  const char* lim = p + n;
-  const char* q = p;
-  while (q < lim) {
-    const char* nl = static_cast<const char*>(
-        std::memchr(q, '\n', static_cast<size_t>(lim - q)));
+void StreamTokenizer::CountLines() {
+  for (size_t i = counted_; i < start_;) {
+    const void* nl = std::memchr(data_ + i, '\n', start_ - i);
     if (nl == nullptr) break;
+    i = static_cast<size_t>(static_cast<const char*>(nl) - data_) + 1;
     ++line_;
-    line_start_ = base_ + static_cast<uint64_t>(nl - buf_.data()) + 1;
-    q = nl + 1;
+    line_start_ = base_ + i;
   }
-  start_ += n;
+  counted_ = start_;
 }
 
-StreamTokenizer::Mark StreamTokenizer::Here() const {
+StreamTokenizer::Mark StreamTokenizer::Here() {
+  CountLines();
   return Mark{base_ + start_, line_, line_start_};
 }
 
@@ -147,7 +152,7 @@ Status StreamTokenizer::ErrorAt(const Mark& mark,
                             std::to_string(col));
 }
 
-Status StreamTokenizer::Error(const std::string& what) const {
+Status StreamTokenizer::Error(const std::string& what) {
   return ErrorAt(Here(), what);
 }
 
@@ -162,10 +167,23 @@ Status StreamTokenizer::SkipSpace() {
   }
 }
 
+Status StreamTokenizer::ScanName(size_t* n) {
+  *n = 0;
+  while (true) {
+    while (*n < available() &&
+           (*n == 0 ? IsNameStartChar(at(0)) : IsNameChar(at(*n)))) {
+      ++*n;
+    }
+    if (*n < available() || eof_) break;
+    XIC_RETURN_IF_ERROR(Fill());
+  }
+  if (*n == 0) return Error("expected name");
+  return Status::OK();
+}
+
 Result<bool> StreamTokenizer::PeekXmlDecl() {
-  size_t have = 0;
-  XIC_RETURN_IF_ERROR(Ensure(6, &have));
-  if (have < 5 || at(0) != '<' || at(1) != '?') return false;
+  XIC_RETURN_IF_ERROR(Ensure(6));
+  if (available() < 5 || at(0) != '<' || at(1) != '?') return false;
   auto low = [](char c) {
     return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   };
@@ -174,19 +192,18 @@ Result<bool> StreamTokenizer::PeekXmlDecl() {
   }
   // The target must be exactly three characters: "<?xml-stylesheet" and
   // friends are ordinary PIs.
-  if (have >= 6 && IsNameChar(at(5))) return false;
+  if (available() >= 6 && IsNameChar(at(5))) return false;
   return true;
 }
 
 Status StreamTokenizer::SkipMisc() {
   while (true) {
     XIC_RETURN_IF_ERROR(SkipSpace());
-    size_t have = 0;
-    XIC_RETURN_IF_ERROR(Ensure(4, &have));
+    XIC_RETURN_IF_ERROR(Ensure(4));
     if (Peek("<!--")) {
       Consume(4);
       XIC_RETURN_IF_ERROR(SkipUntil("-->", "", Mark{}));
-    } else if (have >= 2 && at(0) == '<' && at(1) == '?') {
+    } else if (Peek("<?")) {
       XIC_ASSIGN_OR_RETURN(bool decl, PeekXmlDecl());
       if (decl) return Status::OK();
       Consume(2);
@@ -201,7 +218,7 @@ Status StreamTokenizer::SkipUntil(std::string_view terminator,
                                   const std::string& what, const Mark& mark) {
   while (true) {
     if (available() >= terminator.size()) {
-      std::string_view hay(buf_.data() + start_, available());
+      std::string_view hay(data_ + start_, available());
       size_t found = hay.find(terminator);
       if (found != std::string_view::npos) {
         Consume(found + terminator.size());
@@ -212,8 +229,8 @@ Status StreamTokenizer::SkipUntil(std::string_view terminator,
     if (eof_) {
       if (what.empty()) {
         // Prolog/epilog SkipMisc semantics: an unterminated trailing
-        // comment/PI silently consumes to EOF (the DOM parser does the
-        // same; any follow-up error then points at EOF).
+        // comment/PI silently consumes to EOF (any follow-up error then
+        // points at EOF).
         Consume(available());
         return Status::OK();
       }
@@ -223,12 +240,20 @@ Status StreamTokenizer::SkipUntil(std::string_view terminator,
   }
 }
 
+void StreamTokenizer::SpillTextView() {
+  if (text_view_.empty()) return;
+  text_buf_.assign(text_view_);
+  text_view_ = {};
+}
+
 void StreamTokenizer::AppendText(char c) {
+  SpillTextView();
   if (!IsXmlSpace(c)) text_all_space_ = false;
   text_buf_.push_back(c);
 }
 
 void StreamTokenizer::AppendTextRun(const char* data, size_t n) {
+  SpillTextView();
   if (text_all_space_) {
     for (size_t i = 0; i < n; ++i) {
       if (!IsXmlSpace(data[i])) {
@@ -240,22 +265,50 @@ void StreamTokenizer::AppendTextRun(const char* data, size_t n) {
   text_buf_.append(data, n);
 }
 
+void StreamTokenizer::TakeTextRun(size_t n) {
+  const char* run = data_ + start_;
+  Consume(n);
+  if (eof_ && text_buf_.empty() &&
+      (text_view_.empty() ||
+       text_view_.data() + text_view_.size() == run)) {
+    if (text_all_space_) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!IsXmlSpace(run[i])) {
+          text_all_space_ = false;
+          break;
+        }
+      }
+    }
+    text_view_ = text_view_.empty()
+                     ? std::string_view(run, n)
+                     : std::string_view(text_view_.data(),
+                                        text_view_.size() + n);
+    return;
+  }
+  AppendTextRun(run, n);
+}
+
 void StreamTokenizer::EmitText(StreamEvent* event) {
-  emit_buf_.swap(text_buf_);
-  text_buf_.clear();
   event->kind = StreamEventKind::kText;
-  event->text = emit_buf_;
+  if (!text_view_.empty()) {
+    event->text = text_view_;
+    text_view_ = {};
+  } else {
+    emit_buf_.swap(text_buf_);
+    text_buf_.clear();
+    event->text = emit_buf_;
+  }
   event->text_all_space = text_all_space_;
   text_all_space_ = true;
 }
 
-Status StreamTokenizer::ParseReference(std::string* out) {
-  // Mirrors the DOM parser: the ';' must lie within 12 bytes of the '&'
-  // or the reference is malformed (reported at the '&').
+Status StreamTokenizer::ParseReference(std::string* out, bool in_tag) {
+  // The ';' must lie within 12 bytes of the '&' or the reference is
+  // malformed (reported at the '&').
   while (available() < 14 && !eof_) {
-    XIC_RETURN_IF_ERROR(FillPinned());
+    XIC_RETURN_IF_ERROR(in_tag ? FillPinned() : Fill());
   }
-  std::string_view hay(buf_.data() + start_, std::min<size_t>(available(), 14));
+  std::string_view hay(data_ + start_, std::min<size_t>(available(), 14));
   size_t semi = hay.find(';');
   if (semi == std::string_view::npos || semi > 12) {
     return Error("malformed entity reference");
@@ -276,7 +329,7 @@ Status StreamTokenizer::ParseReference(std::string* out) {
 Status StreamTokenizer::ScanCdata(StreamEvent* event, bool* emitted) {
   while (true) {
     if (available() >= 3) {
-      std::string_view hay(buf_.data() + start_, available());
+      std::string_view hay(data_ + start_, available());
       size_t found = hay.find("]]>");
       size_t safe = found != std::string_view::npos ? found : available() - 2;
       for (size_t i = 0; i < safe; ++i) {
@@ -302,8 +355,7 @@ Status StreamTokenizer::ScanCdata(StreamEvent* event, bool* emitted) {
       return Status::OK();
     }
     if (eof_) {
-      // Trailing 1-2 bytes can no longer form "]]>"; in the DOM parser
-      // the whole section fails before any content lands.
+      // The trailing 1-2 bytes can no longer form "]]>".
       return ErrorAt(cdata_mark_, "unterminated CDATA");
     }
     XIC_RETURN_IF_ERROR(Fill());
@@ -367,8 +419,7 @@ Status StreamTokenizer::NextProlog(StreamEvent* event, bool* emitted) {
     XIC_RETURN_IF_ERROR(SkipUntil("?>", "unterminated XML declaration", mark));
   }
   XIC_RETURN_IF_ERROR(SkipMisc());
-  size_t have = 0;
-  XIC_RETURN_IF_ERROR(Ensure(9, &have));
+  XIC_RETURN_IF_ERROR(Ensure(9));
   if (Peek("<!DOCTYPE")) {
     XIC_RETURN_IF_ERROR(ParseDoctype(event));
     state_ = State::kDoctypeClose;
@@ -383,24 +434,14 @@ Status StreamTokenizer::NextProlog(StreamEvent* event, bool* emitted) {
 Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
   Consume(9);  // "<!DOCTYPE"
   XIC_RETURN_IF_ERROR(SkipSpace());
-  // DOCTYPE name. Pinned scan: FillPinned never shifts offsets.
   size_t n = 0;
-  while (true) {
-    while (n < available() &&
-           (n == 0 ? IsNameStartChar(at(n)) : IsNameChar(at(n)))) {
-      ++n;
-    }
-    if (n < available() || eof_) break;
-    XIC_RETURN_IF_ERROR(FillPinned());
-  }
-  if (n == 0) return Error("expected name");
-  doctype_name_.assign(buf_.data() + start_, n);
+  XIC_RETURN_IF_ERROR(ScanName(&n));
+  doctype_name_.assign(data_ + start_, n);
   Consume(n);
   XIC_RETURN_IF_ERROR(SkipSpace());
   // External id (SYSTEM/PUBLIC) -- skipped; only the internal subset is
-  // read, exactly like the DOM parser.
-  size_t have = 0;
-  XIC_RETURN_IF_ERROR(Ensure(6, &have));
+  // read.
+  XIC_RETURN_IF_ERROR(Ensure(6));
   if (Peek("SYSTEM") || Peek("PUBLIC")) {
     while (true) {
       if (available() == 0) {
@@ -414,7 +455,7 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
         Mark mark = Here();
         Consume(1);
         while (true) {
-          std::string_view hay(buf_.data() + start_, available());
+          std::string_view hay(data_ + start_, available());
           size_t f = hay.find(c);
           if (f != std::string_view::npos) {
             Consume(f + 1);
@@ -435,17 +476,22 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
   if (available() > 0 && at(0) == '[') {
     has_subset = true;
     Consume(1);
-    Mark mark = Here();  // errors point just past '[', like the DOM scan
+    Mark mark = Here();  // errors point just past '['
     // The subset ends at the first ']' outside comments, PIs and quoted
-    // literals. Streamed with a mode machine; all scanned bytes are
-    // accumulated verbatim into doctype_subset_.
+    // literals (comments may contain ']', e.g. embedded constraint blocks
+    // with multi-attribute keys). Streamed with a mode machine; all
+    // scanned bytes are accumulated verbatim into doctype_subset_.
     enum class Mode { kPlain, kComment, kPi, kQuote };
     Mode mode = Mode::kPlain;
     char quote = 0;
     bool done = false;
     auto flush = [&](size_t count) {
-      doctype_subset_.append(buf_.data() + start_, count);
+      doctype_subset_.append(data_ + start_, count);
       Consume(count);
+    };
+    auto fill = [&]() -> Status {
+      if (eof_) return ErrorAt(mark, "unterminated internal subset");
+      return Fill();
     };
     while (!done) {
       if (mode != Mode::kPlain) {
@@ -455,23 +501,20 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
         char qterm[2] = {quote, 0};
         if (term.empty()) term = std::string_view(qterm, 1);
         if (available() >= term.size()) {
-          std::string_view hay(buf_.data() + start_, available());
+          std::string_view hay(data_ + start_, available());
           size_t f = hay.find(term);
           if (f != std::string_view::npos) {
             flush(f + term.size());
             mode = Mode::kPlain;
             continue;
           }
-          if (term.size() > 1) flush(available() - (term.size() - 1));
-          else flush(available());
+          flush(available() - (term.size() - 1));
         }
-        if (eof_) return ErrorAt(mark, "unterminated internal subset");
-        XIC_RETURN_IF_ERROR(Fill());
+        XIC_RETURN_IF_ERROR(fill());
         continue;
       }
       if (available() == 0) {
-        if (eof_) return ErrorAt(mark, "unterminated internal subset");
-        XIC_RETURN_IF_ERROR(Fill());
+        XIC_RETURN_IF_ERROR(fill());
         continue;
       }
       size_t i = 0;
@@ -517,8 +560,7 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
         continue;
       }
       flush(i);
-      if (eof_) return ErrorAt(mark, "unterminated internal subset");
-      XIC_RETURN_IF_ERROR(Fill());
+      XIC_RETURN_IF_ERROR(fill());
     }
   }
   event->kind = StreamEventKind::kDoctype;
@@ -537,6 +579,15 @@ Status StreamTokenizer::FinishDoctypeClose() {
   return SkipMisc();
 }
 
+namespace {
+
+// Bytes that end a plain character-data run.
+constexpr bool IsTextStop(char c) {
+  return c == '<' || c == '&' || c == ']' || c == '\r';
+}
+
+}  // namespace
+
 Status StreamTokenizer::NextContent(StreamEvent* event) {
   if (stack_.empty()) {
     // Root position: the prolog ended and no element is open yet.
@@ -549,40 +600,40 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
       if (emitted) return Status::OK();
       continue;
     }
-    size_t have = 0;
-    XIC_RETURN_IF_ERROR(Ensure(9, &have));  // longest opener "<![CDATA["
-    if (have == 0) {
+    XIC_RETURN_IF_ERROR(Ensure(9));  // longest opener "<![CDATA["
+    if (available() == 0) {
       return Error("unterminated element " + stack_.back());
     }
     char c = at(0);
     if (c == '<') {
-      if (Peek("</")) {
-        if (!text_buf_.empty()) {
+      char next = available() > 1 ? at(1) : '\0';
+      if (next == '/') {
+        if (HasText()) {
           EmitText(event);
           return Status::OK();
         }
         return ParseEndTag(event);
       }
-      if (Peek("<!--")) {
+      if (next == '!' && Peek("<!--")) {
         Mark mark = Here();
         Consume(4);
         XIC_RETURN_IF_ERROR(SkipUntil("-->", "unterminated comment", mark));
         continue;
       }
-      if (Peek("<![CDATA[")) {
+      if (next == '!' && Peek("<![CDATA[")) {
         cdata_mark_ = Here();
         Consume(9);
         in_cdata_ = true;
         cdata_cr_ = false;
         continue;
       }
-      if (Peek("<?")) {
+      if (next == '?') {
         Mark mark = Here();
         Consume(2);
         XIC_RETURN_IF_ERROR(SkipUntil("?>", "unterminated PI", mark));
         continue;
       }
-      if (!text_buf_.empty()) {
+      if (HasText()) {
         EmitText(event);
         return Status::OK();
       }
@@ -590,12 +641,13 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
     }
     if (c == '&') {
       std::string expanded;
-      XIC_RETURN_IF_ERROR(ParseReference(&expanded));
+      XIC_RETURN_IF_ERROR(ParseReference(&expanded, /*in_tag=*/false));
       AppendTextRun(expanded.data(), expanded.size());
-    } else if (c == ']' && Peek("]]>")) {
+    } else if (c == ']') {
       // XML 1.0 section 2.4: "]]>" must not appear in content except as
       // the end of a CDATA section.
-      return Error("']]>' not allowed in content");
+      if (Peek("]]>")) return Error("']]>' not allowed in content");
+      TakeTextRun(1);  // lone ']'
     } else if (c == '\r') {
       // Section 2.11 line-end normalization: \r\n and bare \r both become
       // a single \n.
@@ -603,21 +655,13 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
       Consume(1);
       if (available() == 0 && !eof_) XIC_RETURN_IF_ERROR(Fill());
       if (available() > 0 && at(0) == '\n') Consume(1);
-    } else if (c == ']') {
-      AppendText(']');  // lone ']' not starting "]]>"
-      Consume(1);
     } else {
-      // Copy the whole plain-text run at once.
-      size_t run = 0;
-      while (run < available()) {
-        char rc = at(run);
-        if (rc == '<' || rc == '&' || rc == ']' || rc == '\r') break;
-        ++run;
-      }
-      AppendTextRun(buf_.data() + start_, run);
-      Consume(run);
+      // The whole plain-text run at once.
+      size_t run = 1;
+      while (run < available() && !IsTextStop(at(run))) ++run;
+      TakeTextRun(run);
     }
-    if (text_buf_.size() >= options_.chunk_bytes) {
+    if (text_buf_.size() + text_view_.size() >= options_.chunk_bytes) {
       EmitText(event);
       return Status::OK();
     }
@@ -629,13 +673,13 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
                                  options_.limits.max_tree_depth,
                                  "max_tree_depth", "element nesting depth"));
   XIC_RETURN_IF_ERROR(options_.deadline.Check("XML parse"));
-  size_t have = 0;
-  XIC_RETURN_IF_ERROR(Ensure(1, &have));
-  if (have == 0 || at(0) != '<') return Error("expected '<'");
-  // Prescan: buffer the whole tag (through the '>' outside quoted
-  // values) so every offset below stays stable -- FillPinned grows the
-  // buffer without compacting.
-  {
+  XIC_RETURN_IF_ERROR(Ensure(1));
+  if (available() == 0 || at(0) != '<') return Error("expected '<'");
+  if (!eof_) {
+    // Prescan: buffer the whole tag (through the '>' outside quoted
+    // values) so every absolute offset below stays stable. i is relative
+    // to the cursor, so this Fill may compact; the buffer grows only for
+    // a tag larger than it. At EOF everything is buffered already.
     size_t i = 1;
     char quote = 0;
     bool closed = false;
@@ -653,37 +697,21 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         ++i;
       }
       if (closed || eof_) break;
-      XIC_RETURN_IF_ERROR(FillPinned());
+      XIC_RETURN_IF_ERROR(Fill());
     }
   }
   Consume(1);  // '<'
-  // Element name: offsets into buf_, materialized as views at the end.
+  // Element name: an offset into data_, materialized as a view at the end.
   size_t name_off = start_;
   size_t name_len = 0;
-  if (available() > 0 && IsNameStartChar(at(0))) {
-    name_len = 1;
-    while (name_len < available() && IsNameChar(at(name_len))) ++name_len;
-  }
-  if (name_len == 0) return Error("expected name");
-  std::string_view name(buf_.data() + name_off, name_len);
+  XIC_RETURN_IF_ERROR(ScanName(&name_len));
   Consume(name_len);
-  // Attributes. Values are views into buf_ (fast path) or indexes into
-  // attr_store_ (slow path: normalization / expansion).
-  struct RawAttr {
-    size_t name_off, name_len;
-    bool from_store;
-    size_t value_off_or_index, value_len;
-  };
-  std::vector<RawAttr> raw_attrs;
+  raw_attrs_.clear();
   size_t store_used = 0;
-  auto skip_space_here = [&]() -> Status {
-    // Space inside a tag; pinned so earlier offsets survive (only
-    // reachable past the prescan when the tag hit EOF unclosed).
-    while (true) {
-      while (available() > 0 && IsXmlSpace(at(0))) Consume(1);
-      if (available() > 0 || eof_) return Status::OK();
-      XIC_RETURN_IF_ERROR(FillPinned());
-    }
+  // From here on the whole tag is buffered (or the input ended), so the
+  // scans below never need to fill.
+  auto skip_space = [&] {
+    while (available() > 0 && IsXmlSpace(at(0))) Consume(1);
   };
   auto parse_quoted = [&](RawAttr* attr) -> Status {
     if (available() == 0 || (at(0) != '"' && at(0) != '\'')) {
@@ -712,7 +740,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     // Slow path: normalization or expansion needed.
     if (attr_store_.size() <= store_used) attr_store_.emplace_back();
     std::string& out = attr_store_[store_used];
-    out.assign(buf_.data() + start_, n);
+    out.assign(data_ + start_, n);
     Consume(n);
     while (available() > 0 && at(0) != quote) {
       char c = at(0);
@@ -720,7 +748,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         // Characters that come in via references escape normalization
         // (Section 3.3.3), so &#10; stays a literal newline.
         std::string expanded;
-        XIC_RETURN_IF_ERROR(ParseReference(&expanded));
+        XIC_RETURN_IF_ERROR(ParseReference(&expanded, /*in_tag=*/true));
         out += expanded;
       } else if (c == '<') {
         return Error("'<' not allowed in attribute value");
@@ -733,7 +761,6 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         // \r\n is one line end (Section 2.11), hence one space.
         out += ' ';
         Consume(1);
-        if (available() == 0 && !eof_) XIC_RETURN_IF_ERROR(FillPinned());
         if (available() > 0 && at(0) == '\n') Consume(1);
       } else {
         out += c;
@@ -749,9 +776,9 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     return Status::OK();
   };
   bool self_closing = false;
-  size_t num_attrs = 0;
+  const size_t max_attrs = options_.limits.max_attributes_per_element;
   while (true) {
-    XIC_RETURN_IF_ERROR(skip_space_here());
+    skip_space();
     if (available() == 0) return Error("unterminated start tag");
     if (at(0) == '>') {
       Consume(1);
@@ -762,39 +789,40 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
       self_closing = true;
       break;
     }
-    XIC_RETURN_IF_ERROR(CheckLimit(
-        ++num_attrs, options_.limits.max_attributes_per_element,
-        "max_attributes_per_element",
-        "attributes on element " + std::string(name)));
+    if (max_attrs != 0 && raw_attrs_.size() >= max_attrs) {
+      // The message is built only here: one allocation per rejected tag,
+      // not per attribute.
+      return CheckLimit(raw_attrs_.size() + 1, max_attrs,
+                        "max_attributes_per_element",
+                        "attributes on element " +
+                            std::string(data_ + name_off, name_len));
+    }
     size_t aoff = start_;
     size_t alen = 0;
-    if (available() > 0 && IsNameStartChar(at(0))) {
-      alen = 1;
-      while (alen < available() && IsNameChar(at(alen))) ++alen;
-    }
-    if (alen == 0) return Error("expected name");
+    XIC_RETURN_IF_ERROR(ScanName(&alen));
     Consume(alen);
-    XIC_RETURN_IF_ERROR(skip_space_here());
+    skip_space();
     if (available() == 0 || at(0) != '=') {
       return Error("expected '=' after attribute name");
     }
     Consume(1);
-    XIC_RETURN_IF_ERROR(skip_space_here());
+    skip_space();
     RawAttr attr{aoff, alen, false, 0, 0};
     XIC_RETURN_IF_ERROR(parse_quoted(&attr));
-    raw_attrs.push_back(attr);
+    raw_attrs_.push_back(attr);
   }
   // Materialize views (offsets are stable: no compaction happened since
   // the prescan). A repeated attribute name keeps the last value in the
   // first-seen position -- DataTree::SetAttribute semantics.
+  std::string_view name(data_ + name_off, name_len);
   event->kind = StreamEventKind::kStartElement;
   event->name = name;
-  for (const RawAttr& raw : raw_attrs) {
-    std::string_view aname(buf_.data() + raw.name_off, raw.name_len);
+  for (const RawAttr& raw : raw_attrs_) {
+    std::string_view aname(data_ + raw.name_off, raw.name_len);
     std::string_view avalue =
         raw.from_store
             ? std::string_view(attr_store_[raw.value_off_or_index])
-            : std::string_view(buf_.data() + raw.value_off_or_index,
+            : std::string_view(data_ + raw.value_off_or_index,
                                raw.value_len);
     bool replaced = false;
     for (StreamEvent::Attr& existing : event->attrs) {
@@ -814,16 +842,8 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
 Status StreamTokenizer::ParseEndTag(StreamEvent* event) {
   Consume(2);  // "</"
   size_t n = 0;
-  while (true) {
-    while (n < available() &&
-           (n == 0 ? IsNameStartChar(at(n)) : IsNameChar(at(n)))) {
-      ++n;
-    }
-    if (n < available() || eof_) break;
-    XIC_RETURN_IF_ERROR(FillPinned());
-  }
-  if (n == 0) return Error("expected name");
-  std::string_view close(buf_.data() + start_, n);
+  XIC_RETURN_IF_ERROR(ScanName(&n));
+  std::string_view close(data_ + start_, n);
   Consume(n);
   if (close != stack_.back()) {
     return Error("mismatched end tag </" + std::string(close) + "> for <" +
@@ -844,9 +864,8 @@ Status StreamTokenizer::ParseEndTag(StreamEvent* event) {
 
 Status StreamTokenizer::NextEpilog(StreamEvent* event) {
   XIC_RETURN_IF_ERROR(SkipMisc());
-  size_t have = 0;
-  XIC_RETURN_IF_ERROR(Ensure(1, &have));
-  if (have > 0) return Error("content after document element");
+  XIC_RETURN_IF_ERROR(Ensure(1));
+  if (available() > 0) return Error("content after document element");
   state_ = State::kDone;
   event->kind = StreamEventKind::kEndDocument;
   return Status::OK();

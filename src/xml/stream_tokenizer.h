@@ -1,23 +1,31 @@
-// Pull tokenizer for streaming XML: the DOM parser's grammar re-cast as
-// an event source over a chunked reader, so a document can be validated
-// without ever materializing its DataTree.
+// Pull tokenizer for XML: the one grammar every xic path reads documents
+// through. ParseXml (xml/xml_parser.h) builds its DataTree from these
+// events; the streaming validator consumes them directly and never
+// materializes the tree.
+//
+// The accepted language is the XML 1.0 subset of the paper's model:
+// prolog, DOCTYPE with an internal subset, elements, attributes,
+// character data, comments, CDATA sections, character and predefined
+// entity references (PIs are skipped). Line ends are normalized per
+// Section 2.11 and attribute values per Section 3.3.3; "]]>" in content,
+// references to non-Chars and the expansion budget are rejected. Every
+// error is rendered once, here: "XML: <what> at line L, column C", or
+// the limit / deadline status.
+//
+// Two buffer modes, chosen by the source. An in-memory source
+// (ByteSource::view(), e.g. StringSource) is tokenized in place: names,
+// attribute values and plain text runs are views into the caller's
+// bytes and no buffer is allocated. Any other source is read through a
+// sliding buffer that holds only the construct being tokenized: start
+// tags, end-tag names and the DOCTYPE name are buffered whole (the buffer
+// grows only for a single tag larger than it), while text runs, CDATA
+// sections, comments and PIs stream through in chunks. Peak memory is
+// then O(open-element depth + largest single tag + chunk size),
+// independent of document size. Line and column are counted only when
+// the buffer compacts or a position is recorded, never per byte.
 //
 // The tokenizer keeps an explicit open-element stack (no recursion -- the
-// depth limit can be raised arbitrarily) and a sliding byte buffer that
-// holds only the construct currently being tokenized: start tags, end
-// tags and the DOCTYPE are buffered whole (they are small), while text
-// runs, CDATA sections, comments and PIs stream through in bounded
-// chunks. Peak memory is O(open-element depth + largest single tag +
-// chunk size), independent of document size.
-//
-// Conformance matches xml/xml_parser.cc byte-for-byte: the same XML 1.0
-// subset (prolog, DOCTYPE with internal subset, elements, attributes,
-// character data, comments, CDATA, character/predefined entity
-// references; PIs skipped), the same Section 2.11 line-end and Section
-// 3.3.3 attribute-value normalization, the same "]]>"-in-content and
-// character-reference checks, the same expansion budget, and the same
-// error messages with the same line/column positions -- the streaming
-// oracle in src/fuzzing/ and tests/stream_test.cc pin this equivalence.
+// depth limit can be raised arbitrarily).
 //
 // Event order for one document:
 //   [Doctype]? StartElement (Text | StartElement | EndElement)* EndElement
@@ -33,6 +41,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,7 +53,8 @@
 namespace xic {
 
 /// A pull source of raw document bytes. Implementations are single-pass:
-/// the tokenizer reads each byte exactly once.
+/// the tokenizer reads each byte exactly once, or tokenizes view() in
+/// place when the source has one.
 class ByteSource {
  public:
   virtual ~ByteSource() = default;
@@ -54,17 +64,28 @@ class ByteSource {
   virtual Result<size_t> Read(char* buf, size_t max) = 0;
 
   /// Total input size when known upfront (strings, regular files) --
-  /// lets the tokenizer enforce max_document_bytes with the same value
-  /// the DOM parser reports. Nullopt for unbounded streams.
+  /// lets the tokenizer enforce max_document_bytes against the whole
+  /// document before reading it. Nullopt for unbounded streams.
   virtual std::optional<uint64_t> size() const { return std::nullopt; }
+
+  /// The unread input as one contiguous view, when it is already in
+  /// memory and outlives the tokenizer; the tokenizer then works on it in
+  /// place instead of calling Read(). Nullopt for sources read in chunks.
+  virtual std::optional<std::string_view> view() const {
+    return std::nullopt;
+  }
 };
 
 /// Serves a string_view; the viewed bytes must outlive the source.
+/// Tokenized in place (view()).
 class StringSource : public ByteSource {
  public:
   explicit StringSource(std::string_view text) : text_(text) {}
   Result<size_t> Read(char* buf, size_t max) override;
   std::optional<uint64_t> size() const override { return text_.size(); }
+  std::optional<std::string_view> view() const override {
+    return text_.substr(pos_);
+  }
 
  private:
   std::string_view text_;
@@ -99,7 +120,8 @@ enum class StreamEventKind {
 };
 
 /// One tokenizer event. All views are valid only until the next Next()
-/// call (they point into the tokenizer's internal buffers).
+/// call (they point into the tokenizer's buffers or, in place, into the
+/// source's bytes).
 struct StreamEvent {
   StreamEventKind kind = StreamEventKind::kEndDocument;
   /// Element name (start/end), or DOCTYPE name.
@@ -118,19 +140,21 @@ struct StreamEvent {
   std::vector<Attr> attrs;
   /// kDoctype: raw text between '[' and ']' (empty when absent).
   std::string_view internal_subset;
-  /// kDoctype: a '[' was present, even if the subset is empty (the DOM
-  /// parser parses "[]" as an empty DTD but no-'[' as no DTD at all).
+  /// kDoctype: a '[' was present, even if the subset is empty ("[]" is
+  /// an empty DTD, no '[' is no DTD at all).
   bool has_internal_subset = false;
 };
 
 struct StreamTokenizerOptions {
-  /// Hard input bounds; the same fields the DOM parser enforces
-  /// (document bytes, nesting depth, attributes per element, expansion
-  /// output), with the same kResourceExhausted messages.
+  /// Hard input bounds (document bytes, nesting depth, attributes per
+  /// element, expansion output); violations return kResourceExhausted
+  /// naming the limit.
   ResourceLimits limits;
-  /// Checked once per start tag, like the DOM parser.
+  /// Checked once per start tag.
   Deadline deadline;
-  /// Read granularity and the rough ceiling for one kText chunk.
+  /// Read granularity and the rough ceiling for one kText chunk. An
+  /// in-place source reads nothing and emits a plain text run as one
+  /// view, whatever its length.
   size_t chunk_bytes = 64 * 1024;
 };
 
@@ -139,9 +163,8 @@ class StreamTokenizer {
   StreamTokenizer(ByteSource& source, StreamTokenizerOptions options = {});
 
   /// Pulls the next event. After kEndDocument (terminal), further calls
-  /// keep returning kEndDocument. An error status is also terminal and
-  /// matches the DOM parser's rendering ("XML: <what> at line L, column
-  /// C" / limit / deadline statuses).
+  /// keep returning kEndDocument. An error status is also terminal ("XML:
+  /// <what> at line L, column C" / limit / deadline statuses).
   Status Next(StreamEvent* event);
 
   /// Open-element depth (root start tag => 1 while open).
@@ -149,6 +172,9 @@ class StreamTokenizer {
 
   /// Bytes of input consumed so far (diagnostics).
   uint64_t consumed_bytes() const { return base_ + start_; }
+
+  /// Bytes the sliding buffer holds allocated; 0 in place (diagnostics).
+  size_t buffer_bytes() const { return storage_.size(); }
 
  private:
   enum class State {
@@ -160,20 +186,29 @@ class StreamTokenizer {
   };
 
   // -- Buffer management ----------------------------------------------------
-  // buf_[start_, end_) is unread input; base_ counts bytes consumed
-  // before buf_[0]. Fill() reads more (compacting first), FillPinned()
-  // grows without compacting so offsets stay stable while one construct
-  // (tag / DOCTYPE) is being scanned.
+  // data_[start_, end_) is unread input; base_ counts bytes consumed
+  // before data_[0]. In place, data_ is the source's view and eof_ holds
+  // from the start; otherwise data_ is storage_. Fill() reads more
+  // (compacting first, so relative offsets survive), FillPinned() grows
+  // without compacting so absolute offsets stay stable while one start
+  // tag is being materialized. Neither moves data_ once eof_ is set.
   Status Fill();
   Status FillPinned();
-  /// Makes >= want bytes available if the input has them; sets *have to
-  /// the available count (may be < want at EOF).
-  Status Ensure(size_t want, size_t* have);
+  /// Makes >= want bytes available if the input has them (fewer at EOF).
+  Status Ensure(size_t want) {
+    if (available() >= want || eof_) return Status::OK();
+    return EnsureSlow(want);
+  }
+  Status EnsureSlow(size_t want);
   size_t available() const { return end_ - start_; }
-  char at(size_t i) const { return buf_[start_ + i]; }
-  bool Peek(std::string_view token) const;
-  /// Consumes n bytes, maintaining line/column.
-  void Consume(size_t n);
+  char at(size_t i) const { return data_[start_ + i]; }
+  bool Peek(std::string_view token) const {
+    return available() >= token.size() &&
+           std::memcmp(data_ + start_, token.data(), token.size()) == 0;
+  }
+  void Consume(size_t n) { start_ += n; }
+  /// Advances line_/line_start_ over data_[counted_, start_).
+  void CountLines();
 
   struct Mark {
     uint64_t abs = 0, line = 1, line_start = 0;
@@ -190,6 +225,11 @@ class StreamTokenizer {
   /// Skips whitespace / comments / non-xml-decl PIs (prolog + epilog).
   Status SkipMisc();
   Status SkipSpace();
+  /// Sets *n to the length of the XML name at the cursor, filling while
+  /// the name runs to the end of the buffered bytes (n is relative, so a
+  /// compaction is harmless; inside a prescanned start tag the '>' ends
+  /// it first, so no fill happens there). "expected name" when empty.
+  Status ScanName(size_t* n);
   /// True when positioned on "<?xml" with a complete reserved target
   /// (may Fill to see the byte after the target).
   Result<bool> PeekXmlDecl();
@@ -202,28 +242,40 @@ class StreamTokenizer {
   /// Streams CDATA content into text_buf_ until "]]>"; sets *emitted
   /// when a full chunk was flushed into `event` mid-section.
   Status ScanCdata(StreamEvent* event, bool* emitted);
-  /// Expands "&...;" at the cursor.
-  Status ParseReference(std::string* out);
+  /// Expands "&...;" at the cursor. `in_tag`: inside a start tag, whose
+  /// absolute offsets a compaction would invalidate.
+  Status ParseReference(std::string* out, bool in_tag);
   void AppendText(char c);
   void AppendTextRun(const char* data, size_t n);
-  /// Emits the buffered text as one kText chunk (swaps into emit_buf_).
+  /// Takes the next n input bytes as character data: as a view while
+  /// nothing can move them (eof_) and they extend the pending run, else
+  /// copied into text_buf_.
+  void TakeTextRun(size_t n);
+  /// Copies a pending in-place run into text_buf_ before other text
+  /// joins it.
+  void SpillTextView();
+  bool HasText() const { return !text_buf_.empty() || !text_view_.empty(); }
+  /// Emits the pending text as one kText chunk.
   void EmitText(StreamEvent* event);
 
-  Mark Here() const;
+  Mark Here();
   Status ErrorAt(const Mark& mark, const std::string& what) const;
-  Status Error(const std::string& what) const;
+  Status Error(const std::string& what);
 
   ByteSource& source_;
   StreamTokenizerOptions options_;
 
-  std::string buf_;
+  std::string storage_;           // sliding buffer (empty in place)
+  const char* data_ = nullptr;    // storage_.data() or the source's view
   size_t start_ = 0, end_ = 0;
-  uint64_t base_ = 0;        // bytes consumed before buf_[0]
-  bool eof_ = false;         // source exhausted
+  uint64_t base_ = 0;        // bytes consumed before data_[0]
+  bool eof_ = false;         // source exhausted (from the start in place)
   uint64_t total_read_ = 0;  // all bytes pulled from the source
   bool started_ = false;     // first Next() ran the upfront size check
 
-  uint64_t line_ = 1;        // 1-based line of the cursor
+  // Line bookkeeping covers data_[0, counted_); CountLines() catches up.
+  size_t counted_ = 0;
+  uint64_t line_ = 1;        // 1-based line at counted_
   uint64_t line_start_ = 0;  // absolute offset just after the last '\n'
 
   State state_ = State::kProlog;
@@ -236,11 +288,22 @@ class StreamTokenizer {
   bool in_cdata_ = false;   // mid-CDATA across Next() calls
   bool cdata_cr_ = false;   // CDATA normalizer saw '\r' last
   Mark cdata_mark_;         // section start, for "unterminated CDATA"
-  std::string text_buf_;    // pending character data
-  std::string emit_buf_;    // backs the previous kText event's view
+  std::string text_buf_;         // pending character data (copied)
+  std::string_view text_view_;   // pending character data (in place)
+  std::string emit_buf_;         // backs the previous kText event's view
   bool text_all_space_ = true;
-  std::vector<std::string> attr_store_;  // slow-path attr values (reused)
-  uint64_t expanded_bytes_ = 0;          // shared expansion budget
+
+  // One start tag's attributes before their views are materialized:
+  // offsets into data_ (fast path) or indexes into attr_store_ (slow
+  // path: normalization / expansion). Reused across tags.
+  struct RawAttr {
+    size_t name_off, name_len;
+    bool from_store;
+    size_t value_off_or_index, value_len;
+  };
+  std::vector<RawAttr> raw_attrs_;
+  std::vector<std::string> attr_store_;
+  uint64_t expanded_bytes_ = 0;  // shared expansion budget
 };
 
 }  // namespace xic

@@ -1,11 +1,10 @@
 // XML document parser producing data trees (Definition 2.1).
 //
-// Supports the subset of XML 1.0 needed for the paper's model: prolog,
-// DOCTYPE with an internal DTD subset, elements, attributes, character
-// data, comments, CDATA sections, character and predefined entity
-// references. Namespaces, processing instructions inside content, and
-// parameter entities are outside the scope (processing instructions are
-// skipped; parameter entities are rejected).
+// ParseXml builds the tree from the events of StreamTokenizer
+// (xml/stream_tokenizer.h), which owns the one XML grammar: the subset
+// of XML 1.0 the paper's model needs, its normalization rules and its
+// error messages. The document is tokenized in place, so element and
+// attribute names reach the tree's symbol table as views into the input.
 //
 // XML attribute values are strings; the paper's att() maps to *sets* of
 // atomic values. When a DtdStructure is supplied, values of set-valued
@@ -24,6 +23,8 @@
 #include "util/status.h"
 
 namespace xic {
+
+struct StreamEvent;
 
 struct XmlParseOptions {
   /// Drop text nodes consisting only of whitespace (layout between tags).
@@ -54,17 +55,22 @@ struct XmlDocument {
 Result<XmlDocument> ParseXml(const std::string& text,
                              const XmlParseOptions& options = {});
 
+/// The DTD declared by a kDoctype event's internal subset, or nullopt
+/// when the DOCTYPE has no '['. The one DOCTYPE -> DTD step, shared by
+/// ParseXml and the streaming validator's entry points.
+Result<std::optional<DtdStructure>> ParseDoctypeDtd(
+    const StreamEvent& doctype, const ResourceLimits& limits,
+    const Deadline& deadline);
+
 /// Tokenizes a normalized attribute value into the paper's set-of-values
 /// form: split on XML S whitespace when `set_valued` (IDREFS / NMTOKENS),
-/// else a singleton containing `raw` verbatim. Shared by the DOM parser
-/// and the streaming validator so extents agree byte-for-byte.
+/// else a singleton containing `raw` verbatim. Shared by ParseXml and the
+/// streaming validator so extents agree byte-for-byte.
 AttrValue TokenizeAttrValue(std::string_view raw, bool set_valued);
 
 /// Decodes one entity/character reference (the text between '&' and ';')
-/// to its UTF-8 expansion. Shared by the DOM parser and the streaming
-/// tokenizer so both accept exactly the same references with the same
-/// error texts (the returned ParseError carries the bare description; the
-/// caller adds line/column).
+/// to its UTF-8 expansion. The returned ParseError carries the bare
+/// description; the tokenizer adds line/column.
 Result<std::string> ExpandXmlEntity(std::string_view ref);
 
 }  // namespace xic

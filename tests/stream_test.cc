@@ -1,11 +1,14 @@
-// Streaming validation: tokenizer event goldens, DOM-vs-stream verdict
-// parity (byte-identical reports across the committed corpus and across
-// spill budgets), spill-threshold behavior, and the XML-parser
-// conformance regressions that rode along with the tokenizer work
-// (reserved PI targets, XML-S whitespace, deep documents).
+// Streaming validation: tokenizer event goldens, in-place vs chunked
+// buffer parity (events, error texts and positions), the sliding
+// buffer's size bound, DOM-vs-stream verdict parity (byte-identical
+// reports across the committed corpus and across spill budgets),
+// spill-threshold behavior, and the XML conformance regressions that
+// rode along with the tokenizer work (reserved PI targets, XML-S
+// whitespace, deep documents).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +19,7 @@
 #include "constraints/well_formed.h"
 #include "engine/stream_validator.h"
 #include "fuzzing/corpus.h"
+#include "fuzzing/oracles.h"
 #include "model/structural_validator.h"
 #include "util/strings.h"
 #include "xml/dtdc_io.h"
@@ -30,10 +34,8 @@ namespace {
 // Renders the full event stream, aggregating consecutive kText chunks
 // into one entry (the run split is an implementation detail callers are
 // told to paper over).
-std::vector<std::string> Events(const std::string& text,
-                                size_t chunk_bytes = 64 * 1024,
-                                Status* error = nullptr) {
-  StringSource source(text);
+std::vector<std::string> Drain(ByteSource& source, size_t chunk_bytes,
+                               Status* error) {
   StreamTokenizerOptions options;
   options.chunk_bytes = chunk_bytes;
   StreamTokenizer tok(source, options);
@@ -82,6 +84,23 @@ std::vector<std::string> Events(const std::string& text,
   }
 }
 
+// The event stream of `text` read through the sliding buffer in
+// `chunk_bytes` reads; also demands the same events and error from the
+// in-place path.
+std::vector<std::string> Events(const std::string& text,
+                                size_t chunk_bytes = 64 * 1024,
+                                Status* error = nullptr) {
+  fuzz::ChunkedSource chunked(text);
+  Status chunked_error = Status::OK();
+  std::vector<std::string> out = Drain(chunked, chunk_bytes, &chunked_error);
+  StringSource in_place(text);
+  Status in_place_error = Status::OK();
+  EXPECT_EQ(Drain(in_place, chunk_bytes, &in_place_error), out) << text;
+  EXPECT_EQ(in_place_error.ToString(), chunked_error.ToString()) << text;
+  if (error != nullptr) *error = chunked_error;
+  return out;
+}
+
 TEST(StreamTokenizer, EventGolden) {
   std::vector<std::string> events = Events(
       "<?xml version=\"1.0\"?>\n"
@@ -128,6 +147,117 @@ TEST(StreamTokenizer, DoctypeDistinguishesEmptySubsetFromNone) {
   ASSERT_FALSE(without.empty());
   EXPECT_EQ(with[0], "doctype:r[subset]");
   EXPECT_EQ(without[0], "doctype:r");
+}
+
+TEST(StreamTokenizer, InMemorySourceIsTokenizedInPlace) {
+  // Names, attribute values and plain text are views into the caller's
+  // bytes, and no buffer is allocated.
+  std::string text = "<r a=\"v\">plain text</r>";
+  StringSource source(text);
+  StreamTokenizer tok(source);
+  EXPECT_EQ(tok.buffer_bytes(), 0u);
+  StreamEvent ev;
+  ASSERT_TRUE(tok.Next(&ev).ok());
+  ASSERT_EQ(ev.kind, StreamEventKind::kStartElement);
+  EXPECT_EQ(ev.name.data(), text.data() + 1);
+  ASSERT_EQ(ev.attrs.size(), 1u);
+  EXPECT_EQ(ev.attrs[0].value.data(), text.data() + 6);
+  ASSERT_TRUE(tok.Next(&ev).ok());
+  ASSERT_EQ(ev.kind, StreamEventKind::kText);
+  EXPECT_EQ(ev.text, "plain text");
+  EXPECT_EQ(ev.text.data(), text.data() + 9);
+  EXPECT_EQ(tok.buffer_bytes(), 0u);
+}
+
+// Catalog-shaped rows (the benchmark's catalog workload) inside an open
+// <catalog>, until the text reaches `bytes`.
+std::string CatalogRows(size_t bytes, const std::string& line_end) {
+  std::string text = "<catalog>" + line_end;
+  for (size_t n = 1; text.size() < bytes; ++n) {
+    std::string id = std::to_string(n);
+    text += "<book isbn=\"i" + id + "\"><title>words in a title " + id +
+            "</title><author>An Author</author><ref to=\"i" + id +
+            "\"/></book>" + line_end;
+  }
+  return text;
+}
+
+TEST(StreamTokenizer, BufferStaysWithinTwoChunksOverALargeDocument) {
+  // A tag straddling the buffer's end compacts the buffer instead of
+  // growing it, so 4 MiB read in 4 KiB chunks never needs more than the
+  // initial 2 x chunk_bytes.
+  std::string text = CatalogRows(4u << 20, "") + "</catalog>\n";
+  fuzz::ChunkedSource source(text);
+  StreamTokenizerOptions options;
+  options.chunk_bytes = 4096;
+  StreamTokenizer tok(source, options);
+  size_t peak = 0;
+  StreamEvent ev;
+  do {
+    ASSERT_TRUE(tok.Next(&ev).ok());
+    peak = std::max(peak, tok.buffer_bytes());
+  } while (ev.kind != StreamEventKind::kEndDocument);
+  EXPECT_EQ(tok.consumed_bytes(), text.size());
+  EXPECT_LE(peak, 2 * options.chunk_bytes);
+}
+
+// "at line L, column C" for byte `pos` of `text`: only '\n' ends a line
+// (the '\r' of "\r\n" is the line's last column).
+std::string Position(const std::string& text, size_t pos) {
+  size_t line = 1, line_start = 0;
+  for (size_t i = 0; i < pos; ++i) {
+    if (text[i] == '\n') {
+      ++line;
+      line_start = i + 1;
+    }
+  }
+  return "at line " + std::to_string(line) + ", column " +
+         std::to_string(pos - line_start + 1);
+}
+
+Status DrainStatus(ByteSource& source, size_t chunk_bytes) {
+  Status error = Status::OK();
+  Drain(source, chunk_bytes, &error);
+  return error;
+}
+
+TEST(StreamTokenizer, ErrorPositionsSurviveManyCompactions) {
+  // ~200 KiB through 256-byte chunks: the 512-byte buffer compacts
+  // hundreds of times before each error, and lines are counted only at
+  // compactions and recorded positions. CRLF line ends keep '\r' bytes
+  // in every row.
+  const std::string rows = CatalogRows(200u << 10, "\r\n");
+  struct Case {
+    std::string tail;    // appended to rows
+    std::string what;    // the error's description
+    size_t offset;       // error position within tail
+  };
+  const Case cases[] = {
+      {"</cat>", "mismatched end tag </cat> for <catalog>", 5},
+      {"<!-- open\r\n", "unterminated comment", 0},
+      {"x\r\n &bogus; y", "unknown entity reference &bogus;", 11},
+      {"<![CDATA[\r\nopen", "unterminated CDATA", 0},
+      {"<b a=\"1\r\n\" c=1/>", "expected quoted value", 13},
+  };
+  const std::string path = testing::TempDir() + "/stream_positions.xml";
+  for (const Case& c : cases) {
+    std::string text = rows + c.tail;
+    std::string want = "XML: " + c.what + " " +
+                       Position(text, rows.size() + c.offset);
+    fuzz::ChunkedSource chunked(text);
+    EXPECT_EQ(DrainStatus(chunked, 256).message(), want) << c.tail;
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    Result<FileSource> file = FileSource::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    EXPECT_EQ(DrainStatus(file.value(), 256).message(), want) << c.tail;
+    StringSource in_place(text);
+    EXPECT_EQ(DrainStatus(in_place, 256).message(), want) << c.tail;
+    EXPECT_EQ(ParseXml(text).status().message(), want) << c.tail;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(StreamTokenizer, ErrorsMatchDomParserByteForByte) {
@@ -234,7 +364,7 @@ testing::AssertionResult VerdictsAgree(const std::string& text,
   sopt.validation.allow_missing_attributes = allow_missing;
   sopt.spill_budget_bytes = spill_budget;
   sopt.chunk_bytes = 96;
-  StringSource source(text);
+  fuzz::ChunkedSource source(text);
   SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
 
   Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);

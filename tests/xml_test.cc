@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "model/structural_validator.h"
 #include "xml/dtd_parser.h"
 #include "xml/serializer.h"
@@ -116,6 +119,54 @@ TEST(XmlParser, Errors) {
   // Errors carry line/column info.
   Status s = ParseXml("<a>\n  <b>\n</a>").status();
   EXPECT_NE(s.message().find("line 3"), std::string::npos) << s;
+}
+
+// Every distinct XML error message, pinned to its exact status text and
+// position. The tokenizer renders all of them; this table catches wording
+// or position drift that a parity test (one grammar against itself)
+// cannot.
+TEST(XmlParser, ErrorMessagesGolden) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"<?xml version=\"1.0\"",
+       "unterminated XML declaration at line 1, column 1"},
+      {"<!DOCTYPE >", "expected name at line 1, column 11"},
+      {"<!DOCTYPE r SYSTEM \"x.dtd><r/>",
+       "unterminated literal in DOCTYPE at line 1, column 20"},
+      {"<!DOCTYPE r [<!ELEMENT r ANY>",
+       "unterminated internal subset at line 1, column 14"},
+      {"<!DOCTYPE r x><r/>", "expected '>' closing DOCTYPE at line 1, column 13"},
+      {"<r>text", "unterminated element r at line 1, column 8"},
+      {"<r><!-- x", "unterminated comment at line 1, column 4"},
+      {"<r><?pi x", "unterminated PI at line 1, column 4"},
+      {"<r>a]]>b</r>", "']]>' not allowed in content at line 1, column 5"},
+      {"<r><![CDATA[x</r>", "unterminated CDATA at line 1, column 4"},
+      {"<r>&amp</r>", "malformed entity reference at line 1, column 4"},
+      {"<r>&#;</r>", "empty character reference at line 1, column 7"},
+      {"<r>&#x1G;</r>", "bad character reference at line 1, column 10"},
+      {"<r>&#x110000;</r>",
+       "character reference out of range at line 1, column 14"},
+      {"<r>&#0;</r>",
+       "character reference to invalid XML character at line 1, column 8"},
+      {"<r>&bogus;</r>",
+       "unknown entity reference &bogus; at line 1, column 11"},
+      {"text", "expected '<' at line 1, column 1"},
+      {"<1/>", "expected name at line 1, column 2"},
+      {"<r a=1/>", "expected quoted value at line 1, column 6"},
+      {"<r a=\"<\"/>",
+       "'<' not allowed in attribute value at line 1, column 7"},
+      {"<r a=\"x", "unterminated attribute value at line 1, column 8"},
+      {"<r a=\"x\"", "unterminated start tag at line 1, column 9"},
+      {"<r a/>", "expected '=' after attribute name at line 1, column 5"},
+      {"<r></s>", "mismatched end tag </s> for <r> at line 1, column 7"},
+      {"<r></r x>", "expected '>' in end tag at line 1, column 8"},
+      {"<r/><s/>", "content after document element at line 1, column 5"},
+  };
+  for (const auto& [text, want] : cases) {
+    Result<XmlDocument> doc = ParseXml(text);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_EQ(doc.status().ToString(), std::string("ParseError: XML: ") + want)
+        << text;
+  }
 }
 
 TEST(XmlParser, ExternalDtdOptionTokenizesSets) {
