@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
   size_t threads = 0;  // hardware concurrency
   int generate = 0;
   BatchOptions options;
+  RunOverrides overrides;
   ObsCliOptions obs_options;
   std::string json_out;
   std::vector<std::string> files;
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
       }
       options.max_attempts = count + 1;
     } else if (arg == "--stream") {
-      options.stream = true;
+      overrides.stream = true;
     } else if (arg == "--spill-mb" && i + 1 < argc) {
       if (!ParseCount(argv[++i], &count)) {
         std::cerr << "--spill-mb: not a number: " << argv[i] << "\n";
@@ -278,7 +279,7 @@ int main(int argc, char** argv) {
   options.validation.allow_missing_attributes = true;
   ObsCliSession obs_session(obs_options);
   BatchValidator validator(dtd, sigma, options);
-  BatchReport report = validator.Run(corpus);
+  BatchReport report = validator.Run(corpus, overrides);
   std::cout << report.ViolationsToString(sigma);
   std::cout << report.stats.ToString();
   if (!json_out.empty()) {

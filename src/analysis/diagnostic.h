@@ -102,10 +102,6 @@ struct [[nodiscard]] AnalysisReport {
   std::string ToJson() const;
 };
 
-/// Escapes `text` for inclusion in a JSON string literal (quotes not
-/// included). Exposed for tests.
-std::string JsonEscape(const std::string& text);
-
 }  // namespace xic
 
 #endif  // XIC_ANALYSIS_DIAGNOSTIC_H_

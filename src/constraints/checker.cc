@@ -1,11 +1,8 @@
 #include "constraints/checker.h"
 
-#include <deque>
+#include <algorithm>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "constraints/well_formed.h"
 #include "obs/obs.h"
 #include "util/strings.h"
 
@@ -21,23 +18,74 @@ std::string ConstraintReport::ToString(const ConstraintSet& sigma) const {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Compilation: which fields each element type must surrender, and to
+// which constraint.
+
 ConstraintChecker::ConstraintChecker(const DtdStructure& dtd,
                                      const ConstraintSet& sigma,
                                      CheckOptions options)
     : dtd_(dtd), sigma_(sigma), options_(options) {
-  // Compile the immutable plan: everything that depends only on the DTD
-  // and Sigma is resolved here so Check() never mutates shared state.
-  plan_.resize(sigma_.constraints.size());
+  inverse_keys_.resize(sigma_.constraints.size());
+  auto add_role = [&](const std::string& element, Role::Kind kind, size_t ci,
+                      const std::vector<std::string>& names) {
+    TypePlan& plan = type_plans_[element];
+    Role role{kind, ci, {}};
+    for (const std::string& name : names) {
+      auto it = std::find(plan.fields.begin(), plan.fields.end(), name);
+      role.fields.push_back(static_cast<size_t>(it - plan.fields.begin()));
+      if (it == plan.fields.end()) {
+        plan.fields.push_back(name);
+        plan.field_declared.push_back(dtd_.HasAttribute(element, name));
+      }
+    }
+    plan.roles.push_back(std::move(role));
+  };
   for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
     const Constraint& c = sigma_.constraints[i];
-    if (c.kind == ConstraintKind::kId) needs_global_ids_ = true;
-    if (c.kind == ConstraintKind::kInverse) {
-      plan_[i].inv_key =
-          c.inv_key.empty() ? dtd_.IdAttribute(c.element).value_or("")
-                            : c.inv_key;
-      plan_[i].inv_ref_key =
-          c.inv_ref_key.empty() ? dtd_.IdAttribute(c.ref_element).value_or("")
-                                : c.inv_ref_key;
+    switch (c.kind) {
+      case ConstraintKind::kKey:
+        add_role(c.element, Role::kKeyTuple, i, c.attrs);
+        break;
+      case ConstraintKind::kForeignKey:
+        add_role(c.element, Role::kFkTuple, i, c.attrs);
+        add_role(c.ref_element, Role::kFkTarget, i, c.ref_attrs);
+        break;
+      case ConstraintKind::kSetForeignKey:
+        if (c.attrs.empty() || c.ref_attrs.empty()) break;
+        add_role(c.element, Role::kSfkSource, i, {c.attr()});
+        add_role(c.ref_element, Role::kSfkTarget, i, {c.ref_attr()});
+        break;
+      case ConstraintKind::kId:
+        needs_global_ids_ = true;
+        if (c.attrs.empty()) break;
+        add_role(c.element, Role::kIdExt, i, {c.attr()});
+        break;
+      case ConstraintKind::kInverse: {
+        InverseKeys& keys = inverse_keys_[i];
+        keys.key = c.inv_key.empty()
+                       ? dtd_.IdAttribute(c.element).value_or("")
+                       : c.inv_key;
+        keys.ref_key = c.inv_ref_key.empty()
+                           ? dtd_.IdAttribute(c.ref_element).value_or("")
+                           : c.inv_ref_key;
+        // Unresolvable keys are reported at check time ("inverse
+        // constraint lacks key attributes"); nothing to extract.
+        if (keys.key.empty() || keys.ref_key.empty()) break;
+        if (c.attrs.empty() || c.ref_attrs.empty()) break;
+        add_role(c.element, Role::kInvExt, i, {keys.key, c.attr()});
+        add_role(c.ref_element, Role::kInvRef, i, {keys.ref_key, c.ref_attr()});
+        break;
+      }
+    }
+  }
+  // The document-wide ID table reads every type's ID attribute (always a
+  // declared attribute, so an absent one is a missing field).
+  if (needs_global_ids_) {
+    for (const std::string& element : dtd_.Elements()) {
+      if (std::optional<std::string> id = dtd_.IdAttribute(element)) {
+        add_role(element, Role::kGlobalId, 0, {*id});
+      }
     }
   }
 }
@@ -45,54 +93,37 @@ ConstraintChecker::ConstraintChecker(const DtdStructure& dtd,
 namespace {
 
 // Concatenated character data beneath `v` (depth-first).
-std::string TextContent(const DataTree& tree, VertexId v) {
-  std::string out;
+void AppendTextContent(const DataTree& tree, VertexId v, std::string* out) {
   for (const Child& c : tree.children(v)) {
     if (const std::string* s = std::get_if<std::string>(&c)) {
-      out += *s;
+      out->append(*s);
     } else {
-      out += TextContent(tree, std::get<VertexId>(c));
+      AppendTextContent(tree, std::get<VertexId>(c), out);
     }
   }
-  return out;
 }
 
-// Encodes a tuple of values into `out` (reused across vertices; values
-// are length-prefixed so distinct tuples never collide).
-void EncodeTuple(const std::vector<std::string_view>& values,
-                 std::string* out) {
-  out->clear();
-  for (std::string_view v : values) {
-    *out += std::to_string(v.size());
-    *out += ':';
-    out->append(v);
+// Section 3.4: the text of `v`'s unique child labeled `name`. Returns the
+// number of children so labeled; `out` is filled only when it is 1.
+int SubElementText(const DataTree& tree, VertexId v, Symbol name,
+                   std::string* out) {
+  VertexId match = kInvalidVertex;
+  int count = 0;
+  if (name != kInvalidSymbol) {
+    for (const Child& c : tree.children(v)) {
+      const VertexId* child = std::get_if<VertexId>(&c);
+      if (child != nullptr && tree.label_symbol(*child) == name) {
+        match = *child;
+        ++count;
+      }
+    }
   }
-}
-
-std::string JoinViews(const std::vector<std::string_view>& values,
-                      std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(values[i]);
+  if (count == 1) {
+    out->clear();
+    AppendTextContent(tree, match, out);
   }
-  return out;
+  return count;
 }
-
-std::vector<std::string> ToStrings(const std::vector<std::string_view>& v) {
-  return std::vector<std::string>(v.begin(), v.end());
-}
-
-// Hash scratch containers carved out of the per-document arena: bucket
-// arrays and nodes bump-allocate, teardown is a no-op, and Arena::Reset()
-// reclaims everything between documents.
-template <typename K, typename V>
-using ArenaHashMap =
-    std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                       ArenaAllocator<std::pair<const K, V>>>;
-template <typename T>
-using ArenaHashSet =
-    std::unordered_set<T, std::hash<T>, std::equal_to<T>, ArenaAllocator<T>>;
 
 }  // namespace
 
@@ -109,29 +140,74 @@ Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
                                    std::to_string(v) +
                                    " (declared attribute unset)");
   }
-  // Section 3.4: a unique sub-element acts as a field whose value is its
-  // character data.
-  VertexId match = kInvalidVertex;
-  int count = 0;
-  for (VertexId child : tree.ChildVertices(v)) {
-    if (tree.label(child) == name) {
-      match = child;
-      ++count;
-    }
-  }
-  if (count == 1) return AttrValue{TextContent(tree, match)};
+  std::string text;
+  int count = SubElementText(tree, v, tree.FindName(name), &text);
+  if (count == 1) return AttrValue{std::move(text)};
   return Status::InvalidArgument(
       "field " + name + " undefined on vertex " + std::to_string(v) +
       (count > 1 ? " (sub-element not unique)" : ""));
 }
 
+// ---------------------------------------------------------------------------
+// The tree walk: every vertex in id order, fields read straight from
+// the tree.
+
 ConstraintReport ConstraintChecker::Check(const DataTree& tree,
-                                          const Deadline& deadline,
-                                          Arena* arena) const {
+                                          const Deadline& deadline) const {
   obs::ScopedSpan span("constraints.check", "constraints");
-  Arena local_arena;
-  ConstraintReport report =
-      CheckImpl(tree, deadline, arena != nullptr ? arena : &local_arena);
+  ConstraintRun run(*this, kNeverSpill, deadline);
+  // Per label Symbol: the type's plan and its fields' Symbols, resolved
+  // on first sight.
+  struct Label {
+    bool resolved = false;
+    const TypePlan* plan = nullptr;
+    std::vector<Symbol> field_syms;
+  };
+  std::vector<Label> labels(type_plans_.empty() ? 0 : tree.symbols().size());
+  std::vector<ConstraintRun::Field> fields;
+  std::vector<std::string> texts;  // sub-element field values
+  Status status = Status::OK();
+  for (VertexId v = 0; v < tree.size() && !labels.empty(); ++v) {
+    if ((v & 0x3FF) == 0) {
+      status = deadline.Check("constraint check");
+      if (!status.ok()) break;
+    }
+    Label& label = labels[tree.label_symbol(v)];
+    if (!label.resolved) {
+      label.resolved = true;
+      label.plan = PlanFor(tree.label(v));
+      if (label.plan != nullptr) {
+        for (const std::string& name : label.plan->fields) {
+          label.field_syms.push_back(tree.FindName(name));
+        }
+      }
+    }
+    if (label.plan == nullptr) continue;
+    const size_t n = label.field_syms.size();
+    fields.assign(n, ConstraintRun::Field{});
+    if (texts.size() < n) texts.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Symbol sym = label.field_syms[i];
+      ConstraintRun::Field& f = fields[i];
+      if (const AttrValue* value =
+              sym == kInvalidSymbol ? nullptr : tree.FindAttr(v, sym)) {
+        f.kind = ConstraintRun::Field::kSet;
+        f.set = value;
+      } else if (!label.plan->field_declared[i] &&
+                 SubElementText(tree, v, sym, &texts[i]) == 1) {
+        f.kind = ConstraintRun::Field::kText;
+        f.text = texts[i];
+      }
+    }
+    run.AddVertex(v, *label.plan, fields);
+  }
+  // A walk cut short has incomplete logs: report no verdict, only why.
+  ConstraintReport report;
+  if (status.ok()) {
+    report = run.Finish();
+  } else {
+    report.status = std::move(status);
+  }
   span.AddInt("constraints", static_cast<int64_t>(sigma_.constraints.size()));
   span.AddInt("steps", static_cast<int64_t>(report.steps));
   span.AddInt("violations", static_cast<int64_t>(report.violations.size()));
@@ -141,394 +217,450 @@ ConstraintReport ConstraintChecker::Check(const DataTree& tree,
   return report;
 }
 
-ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
-                                              const Deadline& deadline,
-                                              Arena* arena) const {
-  ConstraintReport report;
-  ExtentIndex extents(tree);
-  auto add = [&](size_t index, std::string msg, std::vector<VertexId> wit,
-                 std::vector<std::string> values = {}) {
-    if (options_.max_violations == 0 ||
-        report.violations.size() < options_.max_violations) {
-      report.violations.push_back(
-          {index, std::move(msg), std::move(wit), std::move(values)});
+// ---------------------------------------------------------------------------
+// ConstraintRun: field tuples -> tuple logs -> violations.
+
+ConstraintRun::ConstraintRun(const ConstraintChecker& checker,
+                             size_t spill_budget_bytes,
+                             const Deadline& deadline)
+    : checker_(checker),
+      deadline_(deadline),
+      budget_(spill_budget_bytes),
+      logs_(checker.sigma_.constraints.size()) {
+  if (checker_.needs_global_ids_) global_ids_.emplace(&budget_);
+}
+
+std::optional<std::string_view> ConstraintRun::Single(const Field& f) {
+  ++steps_;
+  switch (f.kind) {
+    case Field::kSet:
+      if (f.set->size() != 1) return std::nullopt;
+      return std::string_view(*f.set->begin());
+    case Field::kText:
+      return f.text;
+    case Field::kMissing:
+      break;
+  }
+  return std::nullopt;
+}
+
+bool ConstraintRun::SetOf(const Field& f) {
+  view_scratch_.clear();
+  switch (f.kind) {
+    case Field::kSet:
+      for (const std::string& v : *f.set) view_scratch_.push_back(v);
+      return true;
+    case Field::kText:
+      view_scratch_.push_back(f.text);
+      return true;
+    case Field::kMissing:
+      break;
+  }
+  return false;
+}
+
+bool ConstraintRun::TupleOf(const std::vector<Field>& fields,
+                            const std::vector<size_t>& which) {
+  view_scratch_.clear();
+  for (size_t f : which) {
+    std::optional<std::string_view> v = Single(fields[f]);
+    if (!v.has_value()) return false;
+    view_scratch_.push_back(*v);
+  }
+  return true;
+}
+
+void ConstraintRun::Append(std::optional<TupleLog>* log, uint32_t seq,
+                           uint32_t rank, std::string_view payload) {
+  if (!spill_error_.ok()) return;
+  if (!log->has_value()) log->emplace(&budget_);
+  if (Status s = (*log)->Append(seq, rank, payload); !s.ok()) {
+    spill_error_ = std::move(s);
+  }
+}
+
+size_t ConstraintRun::extent_records() const {
+  size_t n = 0;
+  for (const Logs& logs : logs_) {
+    for (const std::optional<TupleLog>* log : {&logs.ext, &logs.target}) {
+      if (log->has_value()) n += (*log)->record_count();
     }
-  };
-  auto full = [&] {
-    return options_.max_violations != 0 &&
-           report.violations.size() >= options_.max_violations;
-  };
+  }
+  return n;
+}
 
-  // Field access works on views. The fast path returns a view straight
-  // into the tree's attribute storage (FindAttr by interned symbol: no
-  // hashing, no copies); the cold paths -- sub-element fields, unset
-  // declared attributes -- materialize through FieldValue() and anchor the
-  // result in these deques so the views stay valid for the whole check.
-  std::deque<std::string> owned_strings;
-  std::deque<AttrValue> owned_values;
-
-  // Single value of a field, or nullopt (missing fields are reported by
-  // the caller as violations of the constraint that needed them).
-  auto single = [&](VertexId v, Symbol sym,
-                    const std::string& name) -> std::optional<std::string_view> {
-    ++report.steps;
-    if (sym != kInvalidSymbol) {
-      if (const AttrValue* value = tree.FindAttr(v, sym)) {
-        if (value->size() != 1) return std::nullopt;
-        return std::string_view(*value->begin());
+void ConstraintRun::AddVertex(uint32_t seq,
+                              const ConstraintChecker::TypePlan& plan,
+                              const std::vector<Field>& fields) {
+  using Role = ConstraintChecker::Role;
+  for (const Role& role : plan.roles) {
+    if (role.kind == Role::kGlobalId) {
+      if (std::optional<std::string_view> v = Single(fields[role.fields[0]])) {
+        Append(&global_ids_, seq, 0, *v);
       }
+      continue;
     }
-    Result<AttrValue> value = FieldValue(tree, v, name);
-    if (!value.ok() || value.value().size() != 1) return std::nullopt;
-    owned_strings.push_back(*value.value().begin());
-    return std::string_view(owned_strings.back());
-  };
-  // The full value set of a field, or null when missing.
-  auto field_ptr = [&](VertexId v, Symbol sym,
-                       const std::string& name) -> const AttrValue* {
-    if (sym != kInvalidSymbol) {
-      if (const AttrValue* value = tree.FindAttr(v, sym)) return value;
+    Logs& logs = logs_[role.constraint];
+    switch (role.kind) {
+      case Role::kKeyTuple:
+      case Role::kFkTuple:
+        if (!TupleOf(fields, role.fields)) {
+          logs.ext_missing.push_back(seq);
+          break;
+        }
+        EncodeTupleInto(view_scratch_, &encode_buf_);
+        Append(&logs.ext, seq, 0, encode_buf_);
+        break;
+      case Role::kFkTarget:
+        if (TupleOf(fields, role.fields)) {
+          EncodeTupleInto(view_scratch_, &encode_buf_);
+          Append(&logs.target, seq, 0, encode_buf_);
+        }
+        break;
+      case Role::kSfkSource: {
+        if (!SetOf(fields[role.fields[0]])) {
+          logs.ext_missing.push_back(seq);
+          break;
+        }
+        uint32_t rank = 0;
+        for (std::string_view v : view_scratch_) {
+          Append(&logs.ext, seq, rank++, v);
+        }
+        break;
+      }
+      case Role::kSfkTarget:
+        if (std::optional<std::string_view> v =
+                Single(fields[role.fields[0]])) {
+          Append(&logs.target, seq, 0, *v);
+        }
+        break;
+      case Role::kIdExt:
+        if (std::optional<std::string_view> v =
+                Single(fields[role.fields[0]])) {
+          Append(&logs.ext, seq, 0, *v);
+        } else {
+          logs.ext_missing.push_back(seq);
+        }
+        break;
+      case Role::kInvExt:
+      case Role::kInvRef: {
+        Logs::InvEntry e;
+        e.seq = seq;
+        if (std::optional<std::string_view> k =
+                Single(fields[role.fields[0]])) {
+          e.has_key = true;
+          e.key = logs.Store(*k);
+        }
+        if (SetOf(fields[role.fields[1]])) {
+          e.has_set = true;
+          e.set_begin = static_cast<uint32_t>(logs.values.size());
+          for (std::string_view v : view_scratch_) logs.Store(v);
+          e.set_end = static_cast<uint32_t>(logs.values.size());
+        }
+        (role.kind == Role::kInvExt ? logs.inv_ext : logs.inv_ref)
+            .push_back(std::move(e));
+        break;
+      }
+      case Role::kGlobalId:
+        break;
     }
-    Result<AttrValue> value = FieldValue(tree, v, name);
-    if (!value.ok()) return nullptr;
-    owned_values.push_back(std::move(value).value());
-    return &owned_values.back();
-  };
-  // Evaluates the named fields of `v` into `out` (reused across
-  // vertices); false if any field is missing or non-singleton.
-  auto tuple_into = [&](VertexId v, const std::vector<std::string>& names,
-                        const std::vector<Symbol>& syms,
-                        std::vector<std::string_view>& out) -> bool {
-    out.clear();
-    for (size_t k = 0; k < names.size(); ++k) {
-      std::optional<std::string_view> val = single(v, syms[k], names[k]);
-      if (!val.has_value()) return false;
-      out.push_back(*val);
-    }
-    return true;
-  };
-  // Interned ids of the named fields, resolved once per constraint.
-  auto resolve = [&](const std::vector<std::string>& names,
-                     std::vector<Symbol>& out) {
-    out.clear();
-    for (const std::string& name : names) out.push_back(tree.FindName(name));
-  };
+  }
+}
 
-  // Global ID table for kId constraints: value -> vertices carrying it in
-  // their type's ID attribute (document-wide scope). Per-document scratch,
-  // like `extents` above -- nothing here outlives this call.
-  std::unordered_map<std::string_view, std::vector<VertexId>> global_ids;
-  if (needs_global_ids_) {
-    // Per-label-symbol ID attribute (name + interned id), resolved once.
-    const size_t nsyms = tree.symbols().size();
-    std::vector<const std::string*> id_name_of(nsyms, nullptr);
-    std::vector<Symbol> id_sym_of(nsyms, kInvalidSymbol);
-    std::deque<std::string> id_names;
-    for (Symbol s = 0; s < nsyms; ++s) {
-      std::optional<std::string> id_attr =
-          dtd_.IdAttribute(tree.symbols().name(s));
-      if (!id_attr.has_value()) continue;
-      id_names.push_back(std::move(*id_attr));
-      id_name_of[s] = &id_names.back();
-      id_sym_of[s] = tree.FindName(id_names.back());
+ConstraintReport ConstraintRun::Finish() {
+  ConstraintReport report;
+  report.steps = steps_;
+  if (!spill_error_.ok()) {
+    report.status = spill_error_;
+    return report;
+  }
+  const ConstraintSet& sigma = checker_.sigma_;
+  const size_t cap = checker_.options_.max_violations;
+  auto full = [&] { return cap != 0 && report.violations.size() >= cap; };
+
+  // Document-wide ID table, reduced to the duplicated values (value ->
+  // every holder, in vertex order). Values are views into the log.
+  std::vector<std::pair<std::string_view, std::vector<VertexId>>> dup_ids;
+  if (global_ids_.has_value()) {
+    if (Status s = global_ids_->Finish(); !s.ok()) {
+      report.status = std::move(s);
+      return report;
     }
-    for (VertexId v = 0; v < tree.size(); ++v) {
-      if ((v & 0x3FF) == 0) {
-        if (Status s = deadline.Check("constraint check"); !s.ok()) {
+    TupleLog::Cursor cur = global_ids_->Scan();
+    TupleLog::Record r;
+    std::string_view value;
+    std::vector<VertexId> holders;
+    auto flush = [&] {
+      if (holders.size() > 1) dup_ids.emplace_back(value, holders);
+    };
+    while (cur.Next(&r)) {
+      if (holders.empty() || r.payload != value) {
+        flush();
+        value = r.payload;
+        holders.clear();
+      }
+      holders.push_back(r.seq);
+    }
+    flush();  // the scan's (payload) order keeps dup_ids sorted
+  }
+
+  // A violation pending its position among the constraint's others.
+  struct Pending {
+    uint32_t seq;
+    uint32_t rank;
+    std::string msg;
+    std::vector<VertexId> wit;
+    std::vector<std::string> values;
+  };
+  std::vector<Pending> pending;
+
+  for (size_t i = 0; i < sigma.constraints.size() && !full(); ++i) {
+    if (Status s = deadline_.Check("constraint check"); !s.ok()) {
+      report.status = std::move(s);
+      return report;
+    }
+    const Constraint& c = sigma.constraints[i];
+    Logs& logs = logs_[i];
+    for (std::optional<TupleLog>* log : {&logs.ext, &logs.target}) {
+      if (log->has_value()) {
+        if (Status s = (*log)->Finish(); !s.ok()) {
           report.status = std::move(s);
           return report;
         }
       }
-      const Symbol tau = tree.label_symbol(v);
-      if (id_name_of[tau] == nullptr) continue;
-      if (std::optional<std::string_view> val =
-              single(v, id_sym_of[tau], *id_name_of[tau])) {
-        global_ids[*val].push_back(v);
-      }
     }
-  }
-
-  // Reused per-constraint/per-vertex scratch.
-  std::vector<Symbol> attr_syms, ref_attr_syms;
-  std::vector<std::string_view> tbuf, ubuf;
-  std::string encode_buf;
-
-  for (size_t i = 0; i < sigma_.constraints.size() && !full(); ++i) {
-    if (Status s = deadline.Check("constraint check"); !s.ok()) {
-      report.status = std::move(s);
-      return report;
-    }
-    const Constraint& c = sigma_.constraints[i];
-    const std::vector<VertexId>& ext = extents.Extent(c.element);
-    const std::vector<VertexId>& ref_ext = extents.Extent(c.ref_element);
-    resolve(c.attrs, attr_syms);
-    resolve(c.ref_attrs, ref_attr_syms);
+    pending.clear();
 
     switch (c.kind) {
       case ConstraintKind::kKey: {
-        if (options_.naive) {
-          // Mirrors the indexed path exactly: each duplicate is reported
-          // once, against the *first* vertex carrying the same tuple (not
-          // once per earlier occurrence, which over-reports on triples).
-          for (size_t b = 0; b < ext.size() && !full(); ++b) {
-            if (!tuple_into(ext[b], c.attrs, attr_syms, tbuf)) {
-              add(i, "key field missing", {ext[b]});
+        if (logs.ext.has_value()) {
+          TupleLog::Cursor cur = logs.ext->Scan();
+          TupleLog::Record r;
+          std::string_view group;
+          uint32_t first = 0;
+          bool have = false;
+          while (cur.Next(&r)) {
+            if (!have || r.payload != group) {
+              group = r.payload;
+              first = r.seq;
+              have = true;
               continue;
             }
-            for (size_t a = 0; a < b; ++a) {
-              if (tuple_into(ext[a], c.attrs, attr_syms, ubuf) &&
-                  ubuf == tbuf) {
-                add(i, "duplicate key [" + JoinViews(tbuf, ",") + "]",
-                    {ext[a], ext[b]}, ToStrings(tbuf));
-                break;
-              }
-            }
+            std::vector<std::string> vals = DecodeTuple(r.payload);
+            pending.push_back(Pending{r.seq, 0,
+                                      "duplicate key [" + Join(vals, ",") + "]",
+                                      {first, r.seq}, std::move(vals)});
           }
-          break;
         }
-        ArenaHashMap<std::string_view, VertexId> seen(
-            8, ArenaAllocator<std::pair<const std::string_view, VertexId>>(
-                   arena));
-        for (VertexId v : ext) {
-          if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
-            add(i, "key field missing", {v});
-            continue;
-          }
-          EncodeTuple(tbuf, &encode_buf);
-          auto it = seen.find(std::string_view(encode_buf));
-          if (it == seen.end()) {
-            // The key must outlive encode_buf's next reuse: copy it into
-            // the arena (reclaimed wholesale between documents).
-            seen.emplace(arena->CopyString(encode_buf), v);
-          } else {
-            add(i, "duplicate key [" + JoinViews(tbuf, ",") + "]",
-                {it->second, v}, ToStrings(tbuf));
-          }
-          if (full()) break;
+        for (uint32_t seq : logs.ext_missing) {
+          pending.push_back(Pending{seq, 0, "key field missing", {seq}, {}});
         }
         break;
       }
 
       case ConstraintKind::kId: {
-        // Report each duplicated value once per constraint, not once per
-        // vertex of ext(tau) holding it (the witnesses already list every
-        // holder).
-        std::unordered_set<std::string_view> reported;
-        for (VertexId v : ext) {
-          std::optional<std::string_view> val =
-              single(v, attr_syms[0], c.attr());
-          if (!val.has_value()) {
-            add(i, "ID attribute missing", {v});
-            continue;
+        if (logs.ext.has_value()) {
+          TupleLog::Cursor cur = logs.ext->Scan();
+          TupleLog::Record r;
+          std::string_view group;
+          bool have = false;
+          while (cur.Next(&r)) {
+            if (have && r.payload == group) continue;
+            group = r.payload;
+            have = true;
+            auto it = std::lower_bound(
+                dup_ids.begin(), dup_ids.end(), r.payload,
+                [](const auto& entry, std::string_view v) {
+                  return PayloadCompare(entry.first, v) < 0;
+                });
+            if (it != dup_ids.end() && it->first == r.payload) {
+              const std::string value(it->first);
+              pending.push_back(Pending{
+                  r.seq, 0, "ID value \"" + value + "\" is not document-unique",
+                  it->second, {value}});
+            }
           }
-          auto it = global_ids.find(*val);
-          if (it != global_ids.end() && it->second.size() > 1 &&
-              reported.insert(*val).second) {
-            add(i, "ID value \"" + std::string(*val) +
-                       "\" is not document-unique",
-                it->second, {std::string(*val)});
-          }
-          if (full()) break;
+        }
+        for (uint32_t seq : logs.ext_missing) {
+          pending.push_back(Pending{seq, 0, "ID attribute missing", {seq}, {}});
         }
         break;
       }
 
-      case ConstraintKind::kForeignKey: {
-        if (options_.naive) {
-          for (VertexId v : ext) {
-            if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
-              add(i, "foreign-key field missing", {v});
-              continue;
-            }
-            bool found = false;
-            for (VertexId w : ref_ext) {
-              if (tuple_into(w, c.ref_attrs, ref_attr_syms, ubuf) &&
-                  ubuf == tbuf) {
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              add(i, "dangling reference [" + JoinViews(tbuf, ",") + "]",
-                  {v}, ToStrings(tbuf));
-            }
-            if (full()) break;
-          }
-          break;
-        }
-        ArenaHashSet<std::string_view> targets(
-            8, ArenaAllocator<std::string_view>(arena));
-        for (VertexId w : ref_ext) {
-          if (tuple_into(w, c.ref_attrs, ref_attr_syms, ubuf)) {
-            EncodeTuple(ubuf, &encode_buf);
-            if (targets.find(std::string_view(encode_buf)) ==
-                targets.end()) {
-              targets.insert(arena->CopyString(encode_buf));
-            }
-          }
-        }
-        for (VertexId v : ext) {
-          if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
-            add(i, "foreign-key field missing", {v});
-            continue;
-          }
-          EncodeTuple(tbuf, &encode_buf);
-          if (targets.count(std::string_view(encode_buf)) == 0) {
-            add(i, "dangling reference [" + JoinViews(tbuf, ",") + "]", {v},
-                ToStrings(tbuf));
-          }
-          if (full()) break;
-        }
-        break;
-      }
-
+      case ConstraintKind::kForeignKey:
       case ConstraintKind::kSetForeignKey: {
-        // Target key values are views into the tree (or the owned
-        // anchors), both stable for the whole check: no copies needed.
-        ArenaHashSet<std::string_view> targets(
-            8, ArenaAllocator<std::string_view>(arena));
-        for (VertexId w : ref_ext) {
-          if (std::optional<std::string_view> u =
-                  single(w, ref_attr_syms[0], c.ref_attr())) {
-            targets.insert(*u);
+        const bool set_valued = c.kind == ConstraintKind::kSetForeignKey;
+        std::optional<TupleLog::Cursor> tcur;
+        TupleLog::Record t;
+        bool thave = false;
+        if (logs.target.has_value()) {
+          tcur = logs.target->Scan();
+          thave = tcur->Next(&t);
+        }
+        if (logs.ext.has_value()) {
+          TupleLog::Cursor ecur = logs.ext->Scan();
+          TupleLog::Record e;
+          while (ecur.Next(&e)) {
+            while (thave && PayloadCompare(t.payload, e.payload) < 0) {
+              thave = tcur->Next(&t);
+            }
+            if (thave && t.payload == e.payload) continue;
+            if (set_valued) {
+              pending.push_back(Pending{e.seq, e.rank,
+                                        "dangling reference \"" +
+                                            std::string(e.payload) + "\"",
+                                        {e.seq},
+                                        {std::string(e.payload)}});
+            } else {
+              std::vector<std::string> vals = DecodeTuple(e.payload);
+              pending.push_back(Pending{
+                  e.seq, 0, "dangling reference [" + Join(vals, ",") + "]",
+                  {e.seq}, std::move(vals)});
+            }
           }
         }
-        for (VertexId v : ext) {
-          const AttrValue* vals = field_ptr(v, attr_syms[0], c.attr());
-          if (vals == nullptr) {
-            add(i, "set-valued field missing", {v});
-            continue;
-          }
-          for (const std::string& val : *vals) {
-            bool found;
-            if (options_.naive) {
-              found = false;
-              for (VertexId w : ref_ext) {
-                std::optional<std::string_view> u =
-                    single(w, ref_attr_syms[0], c.ref_attr());
-                if (u.has_value() && *u == val) {
-                  found = true;
-                  break;
-                }
-              }
-            } else {
-              found = targets.count(std::string_view(val)) > 0;
-            }
-            if (!found) {
-              add(i, "dangling reference \"" + val + "\"", {v}, {val});
-              if (full()) break;
-            }
-          }
-          if (full()) break;
+        const char* missing = set_valued ? "set-valued field missing"
+                                         : "foreign-key field missing";
+        for (uint32_t seq : logs.ext_missing) {
+          pending.push_back(Pending{seq, 0, missing, {seq}, {}});
         }
         break;
       }
 
-      case ConstraintKind::kInverse: {
-        // Key attributes (named in L_u, ID attributes in L_id) were
-        // resolved at compile time.
-        const std::string& lk = plan_[i].inv_key;
-        const std::string& lk2 = plan_[i].inv_ref_key;
-        if (lk.empty() || lk2.empty()) {
-          add(i, "inverse constraint lacks key attributes", {});
-          break;
-        }
-        const Symbol lk_sym = tree.FindName(lk);
-        const Symbol lk2_sym = tree.FindName(lk2);
-        // key value -> vertices (multimap: key violations must not mask
-        // inverse violations).
-        std::unordered_map<std::string_view, std::vector<VertexId>> by_key;
-        std::unordered_map<std::string_view, std::vector<VertexId>>
-            ref_by_key;
-        for (VertexId v : ext) {
-          if (std::optional<std::string_view> val = single(v, lk_sym, lk)) {
-            by_key[*val].push_back(v);
-          }
-        }
-        for (VertexId w : ref_ext) {
-          if (std::optional<std::string_view> val =
-                  single(w, lk2_sym, lk2)) {
-            ref_by_key[*val].push_back(w);
-          }
-        }
-        // Typed semantics (DESIGN.md): the referenced values must be keys
-        // of the partner type (the containments Inv-SFK-ID derives).
-        for (VertexId x : ext) {
-          const AttrValue* xl = field_ptr(x, attr_syms[0], c.attr());
-          if (xl == nullptr) continue;
-          for (const std::string& val : *xl) {
-            if (ref_by_key.count(std::string_view(val)) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.ref_element + " key",
-                  {x}, {val});
-              if (full()) break;
-            }
-          }
-          if (full()) break;
-        }
-        for (VertexId y : ref_ext) {
-          const AttrValue* yl = field_ptr(y, ref_attr_syms[0], c.ref_attr());
-          if (yl == nullptr) continue;
-          for (const std::string& val : *yl) {
-            if (by_key.count(std::string_view(val)) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.element + " key",
-                  {y}, {val});
-              if (full()) break;
-            }
-          }
-          if (full()) break;
-        }
-        // Direction 1: x.lk in y.l'  ==>  y.lk' in x.l.
-        for (VertexId y : ref_ext) {
-          const AttrValue* yl2 = field_ptr(y, ref_attr_syms[0], c.ref_attr());
-          std::optional<std::string_view> ykey = single(y, lk2_sym, lk2);
-          if (yl2 == nullptr || !ykey.has_value()) continue;
-          for (const std::string& val : *yl2) {
-            auto it = by_key.find(std::string_view(val));
-            if (it == by_key.end()) continue;
-            for (VertexId x : it->second) {
-              const AttrValue* xl = field_ptr(x, attr_syms[0], c.attr());
-              if (xl == nullptr || xl->count(std::string(*ykey)) == 0) {
-                add(i, "inverse missing: " + c.ref_element + " \"" +
-                           std::string(*ykey) + "\" references \"" + val +
-                           "\" but not back",
-                    {x, y}, {std::string(*ykey)});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-          if (full()) break;
-        }
-        // Direction 2 (symmetric).
-        for (VertexId x : ext) {
-          const AttrValue* xl = field_ptr(x, attr_syms[0], c.attr());
-          std::optional<std::string_view> xkey = single(x, lk_sym, lk);
-          if (xl == nullptr || !xkey.has_value()) continue;
-          for (const std::string& val : *xl) {
-            auto it = ref_by_key.find(std::string_view(val));
-            if (it == ref_by_key.end()) continue;
-            for (VertexId y : it->second) {
-              const AttrValue* yl2 =
-                  field_ptr(y, ref_attr_syms[0], c.ref_attr());
-              if (yl2 == nullptr || yl2->count(std::string(*xkey)) == 0) {
-                add(i, "inverse missing: " + c.element + " \"" +
-                           std::string(*xkey) + "\" references \"" + val +
-                           "\" but not back",
-                    {y, x}, {std::string(*xkey)});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-          if (full()) break;
-        }
+      case ConstraintKind::kInverse:
+        EvaluateInverse(i, logs, &report);
         break;
-      }
+    }
+
+    // Scans emit in payload order and missing-field entries come last: a
+    // stable sort by (vertex, rank) restores the vertex-id walk's order.
+    if (pending.size() > 1) {
+      std::stable_sort(pending.begin(), pending.end(),
+                       [](const Pending& a, const Pending& b) {
+                         if (a.seq != b.seq) return a.seq < b.seq;
+                         return a.rank < b.rank;
+                       });
+    }
+    for (Pending& p : pending) {
+      if (full()) break;
+      report.violations.push_back(
+          {i, std::move(p.msg), std::move(p.wit), std::move(p.values)});
     }
   }
   return report;
+}
+
+void ConstraintRun::EvaluateInverse(size_t i, Logs& logs,
+                                    ConstraintReport* report) {
+  const Constraint& c = checker_.sigma_.constraints[i];
+  const size_t cap = checker_.options_.max_violations;
+  auto full = [&] { return cap != 0 && report->violations.size() >= cap; };
+  auto add = [&](std::string msg, std::vector<VertexId> wit,
+                 std::vector<std::string> values) {
+    if (!full()) {
+      report->violations.push_back(
+          {i, std::move(msg), std::move(wit), std::move(values)});
+    }
+  };
+  const ConstraintChecker::InverseKeys& keys = checker_.inverse_keys_[i];
+  if (keys.key.empty() || keys.ref_key.empty()) {
+    add("inverse constraint lacks key attributes", {}, {});
+    return;
+  }
+  using InvEntry = Logs::InvEntry;
+  // A tree walk adds entries in vertex order already; a token stream
+  // adds them at end tags.
+  auto by_seq = [](const InvEntry& a, const InvEntry& b) {
+    return a.seq < b.seq;
+  };
+  for (std::vector<InvEntry>* side : {&logs.inv_ext, &logs.inv_ref}) {
+    if (!std::is_sorted(side->begin(), side->end(), by_seq)) {
+      std::sort(side->begin(), side->end(), by_seq);
+    }
+  }
+  // Key value -> entry index, sorted by (key, vertex): the entries of one
+  // key form a run in extent order.
+  using KeyIndex = std::vector<std::pair<std::string_view, size_t>>;
+  auto index = [&](const std::vector<InvEntry>& entries) {
+    KeyIndex out;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      if (entries[k].has_key) out.emplace_back(logs.Value(entries[k].key), k);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const KeyIndex by_key = index(logs.inv_ext);
+  const KeyIndex ref_by_key = index(logs.inv_ref);
+  auto holders = [](const KeyIndex& idx, std::string_view key) {
+    auto lo = std::lower_bound(
+        idx.begin(), idx.end(), key,
+        [](const auto& e, std::string_view k) { return e.first < k; });
+    auto hi = lo;
+    while (hi != idx.end() && hi->first == key) ++hi;
+    return std::make_pair(lo, hi);
+  };
+  auto contains = [&](const InvEntry& x, std::string_view val) {
+    uint32_t lo = x.set_begin, hi = x.set_end;
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      const int cmp = logs.Value(mid).compare(val);
+      if (cmp == 0) return true;
+      if (cmp < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return false;
+  };
+  // Typed semantics (DESIGN.md): the referenced values must be keys of
+  // the partner type (the containments Inv-SFK-ID derives).
+  auto references_are_keys = [&](const std::vector<InvEntry>& side,
+                                 const KeyIndex& partner,
+                                 const std::string& partner_type) {
+    for (const InvEntry& x : side) {
+      if (full()) return;
+      if (!x.has_set) continue;
+      for (uint32_t k = x.set_begin; k < x.set_end; ++k) {
+        const std::string_view val = logs.Value(k);
+        auto [lo, hi] = holders(partner, val);
+        if (lo == hi) {
+          add("inverse reference \"" + std::string(val) + "\" is not a " +
+                  partner_type + " key",
+              {x.seq}, {std::string(val)});
+          if (full()) return;
+        }
+      }
+    }
+  };
+  references_are_keys(logs.inv_ext, ref_by_key, c.ref_element);
+  references_are_keys(logs.inv_ref, by_key, c.element);
+  // Each direction: y referencing x (x.key in y.set) must be answered by
+  // x referencing y (y.key in x.set). Witnesses: x, then y.
+  auto answered = [&](const std::vector<InvEntry>& from,
+                      const std::vector<InvEntry>& to, const KeyIndex& to_idx,
+                      const std::string& from_type) {
+    for (const InvEntry& y : from) {
+      if (full()) return;
+      if (!y.has_set || !y.has_key) continue;
+      const std::string_view y_key = logs.Value(y.key);
+      for (uint32_t k = y.set_begin; k < y.set_end; ++k) {
+        const std::string_view val = logs.Value(k);
+        auto [lo, hi] = holders(to_idx, val);
+        for (auto it = lo; it != hi; ++it) {
+          const InvEntry& x = to[it->second];
+          if (!x.has_set || !contains(x, y_key)) {
+            add("inverse missing: " + from_type + " \"" + std::string(y_key) +
+                    "\" references \"" + std::string(val) + "\" but not back",
+                {x.seq, y.seq}, {std::string(y_key)});
+          }
+          if (full()) return;
+        }
+      }
+    }
+  };
+  answered(logs.inv_ref, logs.inv_ext, by_key, c.ref_element);
+  answered(logs.inv_ext, logs.inv_ref, ref_by_key, c.element);
 }
 
 }  // namespace xic

@@ -13,30 +13,40 @@
 // the value of a sub-element field is the concatenated character data of
 // the unique child with that label.
 //
-// The checker builds hash indexes per (type, attribute) so a full check is
-// O(|G| + |Sigma|) modulo hashing; a naive quadratic mode exists for the
-// B1 ablation benchmark. Both modes report the *same* violation set in the
-// same order (the differential suite in tests/checker_diff_test.cc keeps
-// them honest).
+// One core evaluates Sigma for both pipelines. The constructor compiles,
+// per element type, the fields the constraints read and the role each
+// constraint gives the type (key tuple, foreign-key source or target, ID
+// holder, inverse side). A ConstraintRun then takes one call per vertex
+// with that vertex's resolved fields, appends the field tuples to sorted
+// TupleLogs (constraints/extent_log.h), and Finish() turns sorted scans
+// of those logs into the violation list: duplicate keys by group
+// iteration, foreign keys by merge-join, document-wide IDs via a global
+// ID log. Two callers feed it: Check() walks a DataTree in vertex-id
+// order (detached vertices included, attribute sets and text children as
+// built), and the streaming validator (engine/stream_validator.h) feeds
+// tokenizer events. The nested-loop reference semantics the core is
+// tested against live in src/fuzzing/reference_checker.h.
 //
 // Thread-safety: the constructor compiles everything derived from the DTD
-// and Sigma (resolved inverse key attributes, whether a document-wide ID
-// table is needed) into an immutable plan; Check() allocates all
-// per-document scratch on the stack. One checker can therefore validate
-// many documents concurrently from different threads, as the batch engine
+// and Sigma into an immutable plan; Check() keeps all per-document state
+// on the stack. One checker can therefore validate many documents
+// concurrently from different threads, as the batch engine
 // (engine/batch_validator.h) does. The referenced DtdStructure and
 // ConstraintSet must outlive the checker and stay unmodified.
 
 #ifndef XIC_CONSTRAINTS_CHECKER_H_
 #define XIC_CONSTRAINTS_CHECKER_H_
 
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "constraints/constraint.h"
+#include "constraints/extent_log.h"
 #include "model/data_tree.h"
 #include "model/dtd_structure.h"
-#include "util/arena.h"
 #include "util/limits.h"
 #include "util/status.h"
 
@@ -70,9 +80,6 @@ struct ConstraintReport {
 };
 
 struct CheckOptions {
-  /// Use the O(|ext(tau)| * |ext(tau')|) nested-loop evaluation instead of
-  /// hash indexes (benchmark baseline only).
-  bool naive = false;
   /// Stop after this many violations (0 = collect all).
   size_t max_violations = 0;
 };
@@ -83,42 +90,150 @@ class ConstraintChecker {
                     CheckOptions options = {});
 
   /// Evaluates G |= Sigma; the report lists every violated constraint.
-  /// The deadline is polled between constraints and inside the extent
-  /// scans; on expiry the report carries kDeadlineExceeded.
-  ///
-  /// `arena` (optional) supplies the per-document scratch memory -- key
-  /// indexes, tuple encodings -- so a caller that checks many documents
-  /// (the batch engine) can hand in a per-worker arena and Reset() it
-  /// between documents, keeping steady-state checking off the shared
-  /// allocator. Null falls back to a call-local arena.
+  /// The deadline is polled every 1024 vertices and between constraints;
+  /// on expiry the report carries kDeadlineExceeded. The tree is
+  /// resident, so its tuple logs never spill.
   ConstraintReport Check(const DataTree& tree) const {
     return Check(tree, Deadline::Infinite());
   }
-  ConstraintReport Check(const DataTree& tree, const Deadline& deadline,
-                         Arena* arena = nullptr) const;
+  ConstraintReport Check(const DataTree& tree, const Deadline& deadline) const;
 
   /// The value of field `name` (attribute or unique sub-element) on vertex
   /// `v`, as a set of atomic values. Missing fields yield an error.
   Result<AttrValue> FieldValue(const DataTree& tree, VertexId v,
                                const std::string& name) const;
 
- private:
-  ConstraintReport CheckImpl(const DataTree& tree, const Deadline& deadline,
-                             Arena* arena) const;
-
-  // Immutable per-constraint state compiled once in the constructor.
-  struct CompiledConstraint {
-    // Resolved key attributes of an inverse constraint (the named L_u keys
-    // or the DTD's ID attributes in L_id); empty when unresolvable.
-    std::string inv_key;
-    std::string inv_ref_key;
+  /// What one constraint reads from the vertices of one element type.
+  struct Role {
+    enum Kind {
+      kKeyTuple,   // ext(tau) of a key: encoded tuple -> ext log
+      kFkTuple,    // ext(tau) of a foreign key: tuple -> ext log
+      kFkTarget,   // ext(tau') of a foreign key: tuple -> target log
+      kSfkSource,  // ext(tau) of a set-valued FK: each value -> ext log
+      kSfkTarget,  // ext(tau') of a set-valued FK: value -> target log
+      kIdExt,      // ext(tau) of an ID constraint: value -> ext log
+      kInvExt,     // ext(tau) of an inverse: (key, set) -> in memory
+      kInvRef,     // ext(tau') of an inverse: (key, set) -> in memory
+      kGlobalId,   // the type's ID attribute -> document-wide ID log
+    };
+    Kind kind;
+    size_t constraint;
+    std::vector<size_t> fields;  // indexes into TypePlan::fields
   };
+
+  /// Everything the core reads from vertices of one element type.
+  struct TypePlan {
+    std::vector<std::string> fields;  // distinct field names
+    /// Parallel: declared as an attribute in the DTD? A declared but
+    /// absent attribute is a missing field, never a sub-element.
+    std::vector<bool> field_declared;
+    std::vector<Role> roles;
+  };
+
+  /// The plan for vertices labeled `element`, or null when no constraint
+  /// reads them.
+  const TypePlan* PlanFor(std::string_view element) const {
+    auto it = type_plans_.find(element);
+    return it == type_plans_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  friend class ConstraintRun;
 
   const DtdStructure& dtd_;
   const ConstraintSet& sigma_;
   CheckOptions options_;
-  std::vector<CompiledConstraint> plan_;  // parallel to sigma_.constraints
+  std::map<std::string, TypePlan, std::less<>> type_plans_;
+  /// Resolved key attributes of each inverse constraint (the named L_u
+  /// keys or the DTD's ID attributes in L_id); empty when unresolvable.
+  struct InverseKeys {
+    std::string key, ref_key;
+  };
+  std::vector<InverseKeys> inverse_keys_;  // parallel to sigma_.constraints
   bool needs_global_ids_ = false;
+};
+
+/// One document's constraint check. A caller resolves each vertex's
+/// fields (in TypePlan::fields order) and calls AddVertex once per vertex
+/// whose type has a plan, in any vertex order; Finish() evaluates Sigma.
+/// Violations come out in the order a vertex-id walk emits them:
+/// constraint by constraint, then by witness vertex.
+class ConstraintRun {
+ public:
+  /// `spill_budget_bytes` bounds the in-memory tuple logs (kNeverSpill:
+  /// unbounded). The checker must outlive the run.
+  ConstraintRun(const ConstraintChecker& checker, size_t spill_budget_bytes,
+                const Deadline& deadline);
+
+  /// One field of one vertex as the caller resolved it: a present
+  /// attribute's value set, the text of the unique matching sub-element,
+  /// or missing. Views must stay valid for the AddVertex call only.
+  struct Field {
+    enum Kind { kMissing, kSet, kText } kind = kMissing;
+    const AttrValue* set = nullptr;  // kSet
+    std::string_view text;           // kText
+  };
+
+  void AddVertex(uint32_t seq, const ConstraintChecker::TypePlan& plan,
+                 const std::vector<Field>& fields);
+
+  /// Evaluates every constraint over the collected logs.
+  ConstraintReport Finish();
+
+  /// Records appended to the constraints' logs (the document-wide ID log
+  /// not included).
+  size_t extent_records() const;
+  const SpillBudget& budget() const { return budget_; }
+
+ private:
+  // Per-constraint extraction output.
+  struct Logs {
+    std::optional<TupleLog> ext;     // ext(tau) tuples / values
+    std::optional<TupleLog> target;  // ext(tau') key tuples / values
+    std::vector<uint32_t> ext_missing;  // seqs with a missing field
+    // Inverse constraints need random access to both extents; they are
+    // held in memory (see DESIGN.md for the bound). An entry's key and
+    // value set are indexes into `values`, whose bytes live in `bytes`.
+    struct InvEntry {
+      uint32_t seq = 0;
+      bool has_key = false;
+      bool has_set = false;
+      uint32_t key = 0;                     // index into values
+      uint32_t set_begin = 0, set_end = 0;  // ascending values
+    };
+    std::vector<InvEntry> inv_ext, inv_ref;
+    std::vector<std::pair<size_t, size_t>> values;  // (offset, length)
+    std::string bytes;
+    uint32_t Store(std::string_view v) {
+      values.emplace_back(bytes.size(), v.size());
+      bytes.append(v);
+      return static_cast<uint32_t>(values.size() - 1);
+    }
+    std::string_view Value(uint32_t index) const {
+      return std::string_view(bytes.data() + values[index].first,
+                              values[index].second);
+    }
+  };
+
+  std::optional<std::string_view> Single(const Field& f);
+  bool SetOf(const Field& f);  // fills view_scratch_
+  bool TupleOf(const std::vector<Field>& fields,
+               const std::vector<size_t>& which);  // fills view_scratch_
+  void Append(std::optional<TupleLog>* log, uint32_t seq, uint32_t rank,
+              std::string_view payload);
+  void EvaluateInverse(size_t i, Logs& logs, ConstraintReport* report);
+
+  const ConstraintChecker& checker_;
+  Deadline deadline_;
+  // budget_ must precede every TupleLog: logs deregister from the budget
+  // on destruction.
+  SpillBudget budget_;
+  std::vector<Logs> logs_;  // parallel to sigma; never resized
+  std::optional<TupleLog> global_ids_;
+  std::vector<std::string_view> view_scratch_;
+  std::string encode_buf_;
+  Status spill_error_ = Status::OK();
+  size_t steps_ = 0;
 };
 
 }  // namespace xic

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 
+#include "constraints/extent_log.h"
 #include "constraints/well_formed.h"
 
 namespace xic {
-
-namespace {
-
-// Encodes a tuple of values into one hashable string (length-prefixed).
-std::string EncodeTuple(const std::vector<std::string>& values) {
-  std::string out;
-  for (const std::string& v : values) {
-    out += std::to_string(v.size());
-    out += ':';
-    out += v;
-  }
-  return out;
-}
-
-}  // namespace
 
 IncrementalChecker::IncrementalChecker(const DtdStructure& dtd,
                                        const ConstraintSet& sigma)

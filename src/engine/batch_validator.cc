@@ -7,7 +7,7 @@
 
 #include "engine/thread_pool.h"
 #include "obs/obs.h"
-#include "util/arena.h"
+#include "util/json_writer.h"
 
 namespace xic {
 
@@ -27,16 +27,6 @@ std::string Fmt(const char* format, double a, double b = 0, double c = 0) {
 
 // Status codes that mean "the pipeline could not finish", as opposed to a
 // verdict about the document itself.
-// Per-thread scratch arena for the constraint-check stage. Each pool
-// worker (and the inline path's calling thread) reuses one arena across
-// every document it processes, Reset() between documents, so steady-state
-// checking never touches the shared allocator -- the main serialization
-// point behind the flat batch-scaling curve.
-Arena& WorkerArena() {
-  static thread_local Arena arena;
-  return arena;
-}
-
 bool IsInfrastructureStatus(const Status& s) {
   switch (s.code()) {
     case StatusCode::kResourceExhausted:
@@ -129,38 +119,8 @@ std::string BatchReport::ViolationsToString(const ConstraintSet& sigma) const {
 
 namespace {
 
-// Minimal JSON string escaping for report fields (names, messages).
 std::string JsonQuote(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
+  return "\"" + util::JsonWriter::Escape(s) + "\"";
 }
 
 bool HasCode(const DocumentOutcome& o, StatusCode code) {
@@ -266,27 +226,26 @@ BatchOptions NormalizeOptions(BatchOptions options) {
   return options;
 }
 
+StreamOptions PlanOptions(const BatchOptions& options) {
+  StreamOptions sopt;
+  sopt.skip_ignorable_whitespace = options.parse.skip_ignorable_whitespace;
+  sopt.validation = options.validation;
+  sopt.check = options.check;
+  sopt.limits = options.limits;
+  sopt.spill_budget_bytes = options.stream_spill_budget_bytes;
+  return sopt;
+}
+
 }  // namespace
 
 BatchValidator::BatchValidator(const DtdStructure& dtd,
                                const ConstraintSet& sigma,
                                BatchOptions options)
     : dtd_(dtd),
-      sigma_(sigma),
       options_(NormalizeOptions(std::move(options))),
-      validator_(dtd, options_.validation),
-      checker_(dtd, sigma, options_.check),
+      plan_(dtd, sigma, PlanOptions(options_)),
       injector_(options_.faults) {
   options_.parse.dtd = &dtd_;
-  if (options_.stream) {
-    StreamOptions sopt;
-    sopt.skip_ignorable_whitespace = options_.parse.skip_ignorable_whitespace;
-    sopt.validation = options_.validation;
-    sopt.check = options_.check;
-    sopt.limits = options_.limits;
-    sopt.spill_budget_bytes = options_.stream_spill_budget_bytes;
-    streamer_.emplace(dtd_, sigma_, sopt);
-  }
 }
 
 Deadline BatchValidator::DocumentDeadline(
@@ -354,13 +313,12 @@ DocumentOutcome BatchValidator::CheckOneAttempt(
       parse_options.limits = *overrides.limits;
     }
     parse_options.deadline = deadline;
-    if (streamer_.has_value()) {
+    if (overrides.stream) {
       // Streaming path: the three stages interleave inside one pass, so
       // the pipeline-stage fault sites collapse onto "parse" and the
       // whole pass is billed to parse_seconds.
       StringSource source(doc.text);
-      StreamOutcome so =
-          streamer_->Run(source, deadline, parse_options.limits);
+      StreamOutcome so = plan_.Run(source, deadline, parse_options.limits);
       outcome.parse = std::move(so.parse);
       // On a parse failure the materialized path never builds a tree and
       // reports zero vertices; drop the partial count so the report
@@ -386,7 +344,7 @@ DocumentOutcome BatchValidator::CheckOneAttempt(
       outcome.error = std::move(s);
       return outcome;
     }
-    outcome.structure = validator_.Validate(tree, deadline);
+    outcome.structure = plan_.validator().Validate(tree, deadline);
     Clock::time_point t2 = Clock::now();
     outcome.structure_seconds = Seconds(t1, t2);
     if (Status s = injector_.MaybeFail("constraints", doc.name, n); !s.ok()) {
@@ -395,9 +353,7 @@ DocumentOutcome BatchValidator::CheckOneAttempt(
       outcome.error = std::move(s);
       return outcome;
     }
-    Arena& arena = WorkerArena();
-    arena.Reset();
-    outcome.constraints = checker_.Check(tree, deadline, &arena);
+    outcome.constraints = plan_.checker().Check(tree, deadline);
     outcome.constraints_seconds = Seconds(t2, Clock::now());
   } catch (const std::exception& e) {
     outcome.error =
@@ -505,89 +461,6 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
     batch_span.AddInt("retries", static_cast<int64_t>(report.stats.retries));
     batch_span.AddInt("violations",
                       static_cast<int64_t>(report.stats.total_violations));
-  }
-  return report;
-}
-
-BatchReport BatchValidator::RunTrees(
-    const std::vector<const DataTree*>& corpus) const {
-  // Reuse Run()'s fan-out by expressing a tree as a pre-parsed document;
-  // the pipeline stages after parse are identical.
-  obs::ScopedSpan batch_span("batch.run_trees", "engine");
-  XIC_COUNTER_ADD("engine.batch.runs", 1);
-  BatchReport report;
-  report.outcomes.resize(corpus.size());
-  Clock::time_point start = Clock::now();
-  size_t threads = options_.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  auto check_tree = [&](size_t i) {
-    obs::ScopedSpan doc_span("batch.document", "engine");
-    doc_span.SetSeq(static_cast<int64_t>(i));
-    DocumentOutcome& outcome = report.outcomes[i];
-    outcome.name = "tree[" + std::to_string(i) + "]";
-    outcome.queue_wait_seconds = Seconds(start, Clock::now());
-    outcome.worker = ThreadPool::current_worker();
-    XIC_COUNTER_ADD("engine.batch.documents", 1);
-    if (doc_span.active()) {
-      doc_span.AddString("doc", outcome.name);
-      doc_span.AddInt("worker", outcome.worker);
-    }
-    try {
-      Deadline deadline = DocumentDeadline(RunOverrides{});
-      const DataTree& tree = *corpus[i];
-      outcome.vertices = tree.size();
-      if (Status s = injector_.MaybeFail("structure", outcome.name);
-          !s.ok()) {
-        outcome.error = std::move(s);
-        return;
-      }
-      Clock::time_point t1 = Clock::now();
-      outcome.structure = validator_.Validate(tree, deadline);
-      Clock::time_point t2 = Clock::now();
-      outcome.structure_seconds = Seconds(t1, t2);
-      if (Status s = injector_.MaybeFail("constraints", outcome.name);
-          !s.ok()) {
-        outcome.error = std::move(s);
-        return;
-      }
-      Arena& arena = WorkerArena();
-      arena.Reset();
-      outcome.constraints = checker_.Check(tree, deadline, &arena);
-      outcome.constraints_seconds = Seconds(t2, Clock::now());
-    } catch (const std::exception& e) {
-      outcome.error =
-          Status::Internal(std::string("uncaught exception: ") + e.what());
-    } catch (...) {
-      outcome.error = Status::Internal("uncaught exception");
-    }
-  };
-  if (threads <= 1 || corpus.size() <= 1) {
-    threads = 1;
-    for (size_t i = 0; i < corpus.size(); ++i) check_tree(i);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(corpus.size(), check_tree);
-  }
-  report.stats.wall_seconds = Seconds(start, Clock::now());
-  report.stats.threads = threads;
-  report.stats.documents = corpus.size();
-  for (const DocumentOutcome& o : report.outcomes) {
-    if (o.ok()) ++report.stats.ok_documents;
-    if (o.infrastructure_failure()) {
-      ++report.stats.resource_failures;
-    } else if (!o.structure.ok()) {
-      ++report.stats.structurally_invalid;
-    } else if (!o.constraints.ok()) {
-      ++report.stats.constraint_violating;
-    }
-    report.stats.total_vertices += o.vertices;
-    report.stats.total_violations +=
-        o.structure.violations.size() + o.constraints.violations.size();
-    report.stats.structure_seconds += o.structure_seconds;
-    report.stats.constraints_seconds += o.constraints_seconds;
   }
   return report;
 }

@@ -3,12 +3,13 @@
 // oriented pipeline.
 //
 // A BatchValidator compiles the expensive shared state once -- the DTD's
-// Glushkov automata (StructuralValidator) and the constraint checker's
-// plan -- and then fans a corpus of documents out across a work-stealing
+// Glushkov automata and the constraint plan, held by one StreamValidator
+// -- and then fans a corpus of documents out across a work-stealing
 // thread pool (engine/thread_pool.h). Per document the pipeline runs
-// parse -> structural validation -> constraint check, all against the
-// shared read-only compiled state; every mutable intermediate lives on
-// the worker's stack.
+// either parse -> structural validation -> constraint check (DOM mode)
+// or one streaming pass (RunOverrides::stream), both against the same
+// read-only compiled plan; every mutable intermediate lives on the
+// worker's stack.
 //
 // Determinism: outcomes are stored at the document's input index, and the
 // per-document pipeline is sequential, so the violation report is
@@ -157,13 +158,8 @@ struct BatchOptions {
   /// Attempts per document; transient (kUnavailable) failures are
   /// retried until this many attempts were made.
   size_t max_attempts = 1;
-  /// Run each document through the streaming pipeline (StreamValidator)
-  /// instead of parse -> tree -> validate -> check. Verdicts are
-  /// byte-identical; peak memory per worker is bounded by the spill
-  /// budget instead of the largest document's tree.
-  bool stream = false;
   /// Extent-log bytes per document before spilling to disk (0 = never
-  /// spill). Only meaningful with `stream`.
+  /// spill). Only meaningful for streaming runs (RunOverrides::stream).
   size_t stream_spill_budget_bytes = 64u << 20;
   /// Deterministic fault injection (off by default; see
   /// util/fault_injector.h).
@@ -182,6 +178,11 @@ struct BatchOptions {
 /// recompiling; absent fields fall back to the construction-time
 /// BatchOptions.
 struct RunOverrides {
+  /// Run each document through the streaming pipeline instead of parse
+  /// -> tree -> validate -> check. Verdicts are byte-identical; peak
+  /// memory per worker is bounded by the spill budget instead of the
+  /// largest document's tree.
+  bool stream = false;
   /// Per-document wall-clock budget for this call, milliseconds (0 =
   /// none). Overrides BatchOptions::document_timeout_ms.
   std::optional<uint64_t> document_timeout_ms;
@@ -226,10 +227,6 @@ class BatchValidator {
   BatchReport Run(const std::vector<BatchDocument>& corpus,
                   const RunOverrides& overrides) const;
 
-  /// Validates already-parsed trees (no parse stage). The trees must stay
-  /// alive and unmodified for the duration of the call.
-  BatchReport RunTrees(const std::vector<const DataTree*>& corpus) const;
-
  private:
   DocumentOutcome CheckOne(const BatchDocument& doc,
                            const RunOverrides& overrides) const;
@@ -238,14 +235,9 @@ class BatchValidator {
   Deadline DocumentDeadline(const RunOverrides& overrides) const;
 
   const DtdStructure& dtd_;
-  const ConstraintSet& sigma_;
   BatchOptions options_;
-  StructuralValidator validator_;  // shared read-only after construction
-  ConstraintChecker checker_;      // shared read-only after construction
-  /// Compiled streaming plan, present when options_.stream; like the two
-  /// above it is read-only after construction (Run keeps per-document
-  /// state on the worker's stack).
-  std::optional<StreamValidator> streamer_;
+  /// The one compiled plan, shared read-only by DOM and streaming runs.
+  StreamValidator plan_;
   FaultInjector injector_;
 };
 

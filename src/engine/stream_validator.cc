@@ -3,101 +3,31 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "constraints/well_formed.h"
-#include "engine/extent_log.h"
 #include "obs/obs.h"
-#include "regex/content_model.h"
-#include "util/strings.h"
 #include "util/symbol_table.h"
 #include "xml/dtdc_io.h"
 #include "xml/xml_parser.h"
 
 namespace xic {
 
-// ---------------------------------------------------------------------------
-// Compilation: which field tuples each element type must surrender.
-
 StreamValidator::StreamValidator(const DtdStructure& dtd,
                                  const ConstraintSet& sigma,
                                  StreamOptions options)
     : dtd_(dtd),
-      sigma_(sigma),
       options_(std::move(options)),
-      validator_(dtd, options_.validation) {
-  inverse_keys_.resize(sigma_.constraints.size());
-  auto field_index = [this](TypePlan* plan, const std::string& element,
-                            const std::string& name) -> size_t {
-    for (size_t i = 0; i < plan->fields.size(); ++i) {
-      if (plan->fields[i] == name) return i;
-    }
-    plan->fields.push_back(name);
-    plan->field_declared.push_back(dtd_.HasAttribute(element, name));
-    return plan->fields.size() - 1;
-  };
-  auto add_role = [&](const std::string& element, Role::Kind kind, size_t ci,
-                      const std::vector<std::string>& names) {
-    TypePlan& plan = type_plans_[element];
-    Role role;
-    role.kind = kind;
-    role.constraint = ci;
-    role.fields.reserve(names.size());
-    for (const std::string& name : names) {
-      role.fields.push_back(field_index(&plan, element, name));
-    }
-    plan.roles.push_back(std::move(role));
-  };
-  for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
-    const Constraint& c = sigma_.constraints[i];
-    switch (c.kind) {
-      case ConstraintKind::kKey:
-        add_role(c.element, Role::kKeyTuple, i, c.attrs);
-        break;
-      case ConstraintKind::kForeignKey:
-        add_role(c.element, Role::kFkTuple, i, c.attrs);
-        add_role(c.ref_element, Role::kFkTarget, i, c.ref_attrs);
-        break;
-      case ConstraintKind::kSetForeignKey:
-        if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kSfkSource, i, {c.attr()});
-        add_role(c.ref_element, Role::kSfkTarget, i, {c.ref_attr()});
-        break;
-      case ConstraintKind::kId:
-        needs_global_ids_ = true;
-        if (c.attrs.empty()) break;
-        add_role(c.element, Role::kIdExt, i, {c.attr()});
-        break;
-      case ConstraintKind::kInverse: {
-        inverse_keys_[i].key =
-            c.inv_key.empty() ? dtd_.IdAttribute(c.element).value_or("")
-                              : c.inv_key;
-        inverse_keys_[i].ref_key =
-            c.inv_ref_key.empty()
-                ? dtd_.IdAttribute(c.ref_element).value_or("")
-                : c.inv_ref_key;
-        // Unresolvable keys are reported at check time ("inverse
-        // constraint lacks key attributes"); nothing to extract.
-        if (inverse_keys_[i].key.empty() || inverse_keys_[i].ref_key.empty())
-          break;
-        if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kInvExt, i, {inverse_keys_[i].key, c.attr()});
-        add_role(c.ref_element, Role::kInvRef, i,
-                 {inverse_keys_[i].ref_key, c.ref_attr()});
-        break;
-      }
-    }
-  }
-}
+      validator_(dtd, options_.validation),
+      checker_(dtd, sigma, options_.check) {}
 
 // ---------------------------------------------------------------------------
-// StreamRun: the per-document state machine. One instance per Run();
-// all mutable state lives here, so a StreamValidator is share-safe.
+// StreamRun: tokenizer events -> calls on both halves. One instance per
+// Run(); all mutable
+// state lives here, so a StreamValidator is share-safe.
 
 class StreamRun {
  public:
@@ -105,32 +35,20 @@ class StreamRun {
             const Deadline& deadline)
       : sv_(sv),
         tok_dtd_(tok_dtd),
-        deadline_(deadline),
         compile_ok_(sv.validator_.status().ok()),
-        budget_(sv.options_.spill_budget_bytes) {
-    clogs_.resize(sv_.sigma_.constraints.size());
-    if (sv_.needs_global_ids_) {
-      global_ids_ = std::make_unique<TupleLog>(&budget_);
-    }
-  }
+        structure_(sv.validator_, syms_),
+        constraints_(sv.checker_, sv.options_.spill_budget_bytes, deadline) {}
 
   StreamOutcome Run(StreamTokenizer& tok, const StreamEvent* pending);
 
  private:
-  using Role = StreamValidator::Role;
-  using TypePlan = StreamValidator::TypePlan;
+  using TypePlan = ConstraintChecker::TypePlan;
 
-  // Per-element-type state resolved on first sight of the label.
+  // The constraint plan of one element type, resolved on first sight.
   struct LabelInfo {
     bool prepared = false;
-    std::optional<StructuralValidator::PlanView> plan;
-    // Lazily-filled translation: document Symbol -> alphabet id of this
-    // type's automaton (-2 = not yet resolved, -1 = foreign).
-    std::vector<int> alpha;
-    int text_alpha = -1;
     const TypePlan* tplan = nullptr;
-    bool has_id_attr = false;  // dtd.IdAttribute(label), for kId tables
-    std::string id_attr;
+    std::vector<Symbol> field_syms;  // parallel to tplan->fields
   };
 
   // One field of one open vertex. The three states mirror the checker's
@@ -144,59 +62,20 @@ class StreamRun {
     std::string text;   // kCapture: text content of the first match
   };
 
+  // One open element. Frames are reused across elements at the same
+  // depth, so their vectors keep their capacity.
   struct Frame {
-    uint32_t seq = 0;  // pre-order id == ParseXml's vertex id
-    Symbol label = kInvalidSymbol;
+    StructureRun::Vertex vertex;
     LabelInfo* info = nullptr;
-    bool track_word = false;  // automaton run + word buffer live
-    GlushkovAutomaton::RunState run;
-    std::vector<Symbol> word;  // kInvalidSymbol marks a text child
-    std::vector<FieldState> fields;  // parallel to tplan->fields
+    std::vector<FieldState> fields;  // parallel to info->tplan->fields
   };
 
-  // An active sub-element text capture: while the open-element stack is
-  // at least `depth` deep, qualified text runs append to the owner
-  // frame's field.
+  // An active sub-element text capture: while at least `depth` elements
+  // are open, qualified text runs append to the owner frame's field.
   struct Capture {
     size_t owner_frame;
     size_t field;
     size_t depth;
-  };
-
-  struct AttrEntry {
-    std::string name;
-    AttrValue value;
-  };
-
-  // A structural violation with its DOM emission rank: the DOM validator
-  // walks vertices in id order and phases within a vertex (root check,
-  // undeclared type, content model, present attributes in name order,
-  // missing attributes in plan order); sorting by (seq, rank) restores
-  // that exact order from stream-order collection.
-  struct SViol {
-    uint32_t seq;
-    uint64_t rank;
-    std::string msg;
-  };
-  static uint64_t Rank(uint64_t phase, uint64_t idx) {
-    return (phase << 32) | idx;
-  }
-
-  // Per-constraint extraction output.
-  struct CLogs {
-    std::unique_ptr<TupleLog> ext;     // ext(tau) tuples / values
-    std::unique_ptr<TupleLog> target;  // ext(tau') key tuples / values
-    std::vector<uint32_t> ext_missing;  // seqs with a missing field
-    // Inverse constraints need random access to both extents; they are
-    // held in memory (see DESIGN.md for the bound).
-    struct InvEntry {
-      uint32_t seq = 0;
-      bool has_key = false;
-      std::string key;
-      bool has_set = false;
-      std::vector<std::string> set;  // ascending (attribute-set order)
-    };
-    std::vector<InvEntry> inv_ext, inv_ref;
   };
 
   void OnStart(const StreamEvent& ev);
@@ -212,56 +91,27 @@ class StreamRun {
       frames_[c.owner_frame].fields[c.field].text.append(text);
     }
   }
-
   LabelInfo& Prepare(Symbol label, std::string_view name);
-  int AlphaOf(LabelInfo& info, Symbol s);
-  AttrEntry* FindAttrEntry(std::string_view name);
-
-  std::optional<std::string_view> SingleOf(const FieldState& fs);
-  bool SetOf(const FieldState& fs, std::vector<std::string_view>* out);
-  bool TupleOf(const Frame& frame, const std::vector<size_t>& fields,
-               std::vector<std::string_view>* out);
-  void EmitRoles(const Frame& frame);
-  void Append(std::unique_ptr<TupleLog>* log, uint32_t seq, uint32_t rank,
-              std::string_view payload);
-
-  void AddSViol(uint32_t seq, uint64_t rank, std::string msg) {
-    sviols_.push_back(SViol{seq, rank, std::move(msg)});
-  }
-
-  void Assemble(StreamOutcome* out);
-  void AssembleConstraints(ConstraintReport* report);
 
   const StreamValidator& sv_;
   const DtdStructure& tok_dtd_;  // governs attribute-value tokenization
-  Deadline deadline_;
-  bool compile_ok_;
+  const bool compile_ok_;
 
-  // budget_ must precede every TupleLog owner: logs deregister from the
-  // budget on destruction.
-  SpillBudget budget_;
-  std::vector<CLogs> clogs_;
-  std::unique_ptr<TupleLog> global_ids_;
-
-  SymbolTable syms_;
+  SymbolTable syms_;  // before structure_, which reads it
+  StructureRun structure_;
+  ConstraintRun constraints_;
   std::deque<LabelInfo> labels_;  // by Symbol; deque: stable references
   std::vector<Frame> frames_;
+  size_t depth_ = 0;  // open elements: frames_[0, depth_)
   std::vector<Capture> captures_;
-  std::vector<SViol> sviols_;
   uint32_t next_seq_ = 0;
 
   bool run_open_ = false;       // a text run is in progress
   bool run_qualified_ = false;  // ...and has produced a text child
   std::string run_prefix_;      // all-space chunks pending qualification
 
-  std::vector<AttrEntry> attr_scratch_;
-  std::vector<std::string_view> view_scratch_;
-  std::string encode_buf_;
-
-  bool spill_failed_ = false;
-  Status spill_error_ = Status::OK();
-  size_t extent_records_ = 0;
-  size_t field_steps_ = 0;
+  std::vector<DataTree::AttrEntry> attr_scratch_;
+  std::vector<ConstraintRun::Field> field_scratch_;
 };
 
 StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
@@ -269,39 +119,17 @@ StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
   LabelInfo& info = labels_[label];
   if (info.prepared) return info;
   info.prepared = true;
-  info.plan = sv_.validator_.PlanFor(name);
-  if (info.plan.has_value() && info.plan->automaton != nullptr) {
-    info.text_alpha = info.plan->automaton->FindAlphabetId(kStringSymbol);
-  }
-  auto it = sv_.type_plans_.find(name);
-  if (it != sv_.type_plans_.end()) info.tplan = &it->second;
-  if (global_ids_ != nullptr) {
-    std::optional<std::string> id = sv_.dtd_.IdAttribute(std::string(name));
-    if (id.has_value()) {
-      info.has_id_attr = true;
-      info.id_attr = std::move(*id);
+  info.tplan = sv_.checker_.PlanFor(name);
+  if (info.tplan != nullptr) {
+    for (const std::string& field : info.tplan->fields) {
+      info.field_syms.push_back(syms_.Intern(field));
     }
   }
   return info;
 }
 
-int StreamRun::AlphaOf(LabelInfo& info, Symbol s) {
-  if (info.alpha.size() <= s) info.alpha.resize(syms_.size(), -2);
-  int& a = info.alpha[s];
-  if (a == -2) a = info.plan->automaton->FindAlphabetId(syms_.name(s));
-  return a;
-}
-
-StreamRun::AttrEntry* StreamRun::FindAttrEntry(std::string_view name) {
-  auto it = std::lower_bound(
-      attr_scratch_.begin(), attr_scratch_.end(), name,
-      [](const AttrEntry& e, std::string_view n) { return e.name < n; });
-  if (it == attr_scratch_.end() || it->name != name) return nullptr;
-  return &*it;
-}
-
 void StreamRun::OnText(const StreamEvent& ev) {
-  if (frames_.empty()) return;
+  if (depth_ == 0) return;
   if (!run_open_) {
     run_open_ = true;
     run_qualified_ = false;
@@ -316,11 +144,7 @@ void StreamRun::OnText(const StreamEvent& ev) {
     }
     run_qualified_ = true;
     // The whole run is exactly one text child of the open element.
-    Frame& top = frames_.back();
-    if (top.track_word) {
-      top.word.push_back(kInvalidSymbol);
-      top.info->plan->automaton->Step(&top.run, top.info->text_alpha);
-    }
+    structure_.Child(&frames_[depth_ - 1].vertex, kInvalidSymbol);
     if (!run_prefix_.empty()) {
       AppendToCaptures(run_prefix_);
       run_prefix_.clear();
@@ -335,22 +159,16 @@ void StreamRun::OnStart(const StreamEvent& ev) {
 
   // Parent bookkeeping: the child steps the parent's content-model run,
   // and may be the unique sub-element some parent field captures.
-  if (!frames_.empty()) {
-    Frame& parent = frames_.back();
-    if (parent.track_word) {
-      parent.word.push_back(label);
-      parent.info->plan->automaton->Step(&parent.run,
-                                         AlphaOf(*parent.info, label));
-    }
+  if (depth_ > 0) {
+    Frame& parent = frames_[depth_ - 1];
+    structure_.Child(&parent.vertex, label);
     if (parent.info->tplan != nullptr) {
-      const std::vector<std::string>& names = parent.info->tplan->fields;
+      const std::vector<Symbol>& names = parent.info->field_syms;
       for (size_t i = 0; i < names.size(); ++i) {
         FieldState& fs = parent.fields[i];
-        if (fs.kind == FieldState::kCapture && names[i] == ev.name) {
-          if (++fs.captures == 1) {
-            captures_.push_back(
-                Capture{frames_.size() - 1, i, frames_.size() + 1});
-          }
+        if (fs.kind == FieldState::kCapture && names[i] == label &&
+            ++fs.captures == 1) {
+          captures_.push_back(Capture{depth_ - 1, i, depth_ + 1});
         }
       }
     }
@@ -358,245 +176,77 @@ void StreamRun::OnStart(const StreamEvent& ev) {
 
   const uint32_t seq = next_seq_++;
   LabelInfo& info = Prepare(label, ev.name);
+  if (frames_.size() == depth_) frames_.emplace_back();
+  Frame& frame = frames_[depth_++];
+  frame.info = &info;
 
   // Attribute values, tokenized against the document's own DTD (set-
   // valued attributes split on XML whitespace) and sorted by name, the
-  // order the DOM tree stores and the validator visits them in.
+  // order the DOM tree stores them in.
   attr_scratch_.clear();
   for (const StreamEvent::Attr& a : ev.attrs) {
-    attr_scratch_.push_back(
-        AttrEntry{std::string(a.name),
-                  TokenizeAttrValue(a.value,
-                                    tok_dtd_.IsSetValued(ev.name, a.name))});
+    attr_scratch_.push_back(DataTree::AttrEntry{
+        syms_.Intern(a.name),
+        TokenizeAttrValue(a.value, tok_dtd_.IsSetValued(ev.name, a.name))});
   }
   std::sort(attr_scratch_.begin(), attr_scratch_.end(),
-            [](const AttrEntry& a, const AttrEntry& b) {
-              return a.name < b.name;
+            [this](const DataTree::AttrEntry& a,
+                   const DataTree::AttrEntry& b) {
+              return syms_.name(a.name) < syms_.name(b.name);
             });
-
-  // Structural checks at the start tag (the content model waits for the
-  // end tag; Rank() restores the DOM emission order).
   if (compile_ok_) {
-    if (seq == 0 && ev.name != sv_.dtd_.root()) {
-      AddSViol(0, Rank(0, 0), "root labeled " + std::string(ev.name) +
-                                  ", expected " + sv_.dtd_.root());
-    }
-    if (!info.plan.has_value()) {
-      AddSViol(seq, Rank(1, 0),
-               "undeclared element type " + std::string(ev.name));
-    } else {
-      const std::vector<std::string>& names = *info.plan->attr_names;
-      const std::vector<bool>& single = *info.plan->attr_single;
-      size_t declared_present = 0;
-      for (size_t idx = 0; idx < attr_scratch_.size(); ++idx) {
-        const AttrEntry& e = attr_scratch_[idx];
-        auto it = std::lower_bound(names.begin(), names.end(), e.name);
-        if (it == names.end() || *it != e.name) {
-          AddSViol(seq, Rank(3, idx), "undeclared attribute " +
-                                          std::string(ev.name) + "." + e.name);
-          continue;
-        }
-        ++declared_present;
-        const size_t slot = static_cast<size_t>(it - names.begin());
-        if (single[slot] && e.value.size() != 1) {
-          AddSViol(seq, Rank(3, idx),
-                   "single-valued attribute " + std::string(ev.name) + "." +
-                       e.name + " holds " + std::to_string(e.value.size()) +
-                       " values");
-        }
-      }
-      if (!sv_.options_.validation.allow_missing_attributes &&
-          declared_present != names.size()) {
-        for (size_t j = 0; j < names.size(); ++j) {
-          if (FindAttrEntry(names[j]) == nullptr) {
-            AddSViol(seq, Rank(4, j), "missing declared attribute " +
-                                          std::string(ev.name) + "." +
-                                          names[j]);
-          }
-        }
-      }
-    }
+    structure_.Open(&frame.vertex, seq, label, attr_scratch_);
+  } else {
+    frame.vertex = StructureRun::Vertex{};
   }
+  frame.vertex.seq = seq;
 
-  // Global ID table entry (read before fields may move the value out).
-  if (global_ids_ != nullptr && info.has_id_attr && !spill_failed_) {
-    const AttrEntry* e = FindAttrEntry(info.id_attr);
-    if (e != nullptr && e->value.size() == 1) {
-      ++field_steps_;
-      Status s = global_ids_->Append(seq, 0, *e->value.begin());
-      if (!s.ok()) {
-        spill_failed_ = true;
-        spill_error_ = std::move(s);
-      }
-    }
-  }
-
-  Frame frame;
-  frame.seq = seq;
-  frame.label = label;
-  frame.info = &info;
-  if (compile_ok_ && info.plan.has_value() &&
-      info.plan->automaton != nullptr) {
-    frame.track_word = true;
-    frame.run = info.plan->automaton->StartRun();
-  }
   if (info.tplan != nullptr) {
     const TypePlan& tp = *info.tplan;
     frame.fields.resize(tp.fields.size());
     for (size_t i = 0; i < tp.fields.size(); ++i) {
       FieldState& fs = frame.fields[i];
-      if (AttrEntry* e = FindAttrEntry(tp.fields[i])) {
+      fs.captures = 0;
+      fs.text.clear();
+      auto it = std::find_if(
+          attr_scratch_.begin(), attr_scratch_.end(),
+          [&](const DataTree::AttrEntry& e) {
+            return e.name == info.field_syms[i];
+          });
+      if (it != attr_scratch_.end()) {
         fs.kind = FieldState::kAttr;
-        fs.attr = std::move(e->value);
-      } else if (tp.field_declared[i]) {
-        fs.kind = FieldState::kUnset;
+        fs.attr = std::move(it->value);
       } else {
-        fs.kind = FieldState::kCapture;
+        fs.kind = tp.field_declared[i] ? FieldState::kUnset
+                                       : FieldState::kCapture;
       }
     }
   }
-  frames_.push_back(std::move(frame));
 }
 
 void StreamRun::OnEnd() {
   CloseRun();
-  Frame frame = std::move(frames_.back());
-  frames_.pop_back();
-  if (frame.track_word && !frame.info->plan->automaton->Accepts(frame.run)) {
-    std::vector<std::string> rendered;
-    rendered.reserve(frame.word.size());
-    for (Symbol s : frame.word) {
-      rendered.push_back(s == kInvalidSymbol ? std::string(kStringSymbol)
-                                             : syms_.name(s));
+  Frame& frame = frames_[depth_ - 1];
+  if (compile_ok_) structure_.Close(frame.vertex);
+  if (frame.info->tplan != nullptr) {
+    field_scratch_.assign(frame.fields.size(), ConstraintRun::Field{});
+    for (size_t i = 0; i < frame.fields.size(); ++i) {
+      const FieldState& fs = frame.fields[i];
+      ConstraintRun::Field& f = field_scratch_[i];
+      if (fs.kind == FieldState::kAttr) {
+        f.kind = ConstraintRun::Field::kSet;
+        f.set = &fs.attr;
+      } else if (fs.kind == FieldState::kCapture && fs.captures == 1) {
+        f.kind = ConstraintRun::Field::kText;
+        f.text = fs.text;
+      }
     }
-    AddSViol(frame.seq, Rank(2, 0),
-             "children [" + Join(rendered, " ") +
-                 "] do not match content model of " + syms_.name(frame.label));
+    constraints_.AddVertex(frame.vertex.seq, *frame.info->tplan,
+                           field_scratch_);
   }
-  if (frame.info->tplan != nullptr) EmitRoles(frame);
-  while (!captures_.empty() && captures_.back().depth > frames_.size()) {
+  --depth_;
+  while (!captures_.empty() && captures_.back().depth > depth_) {
     captures_.pop_back();
-  }
-}
-
-std::optional<std::string_view> StreamRun::SingleOf(const FieldState& fs) {
-  ++field_steps_;
-  switch (fs.kind) {
-    case FieldState::kAttr:
-      if (fs.attr.size() != 1) return std::nullopt;
-      return std::string_view(*fs.attr.begin());
-    case FieldState::kUnset:
-      return std::nullopt;
-    case FieldState::kCapture:
-      if (fs.captures != 1) return std::nullopt;
-      return std::string_view(fs.text);
-  }
-  return std::nullopt;
-}
-
-bool StreamRun::SetOf(const FieldState& fs,
-                      std::vector<std::string_view>* out) {
-  out->clear();
-  switch (fs.kind) {
-    case FieldState::kAttr:
-      for (const std::string& v : fs.attr) out->push_back(v);
-      return true;
-    case FieldState::kUnset:
-      return false;
-    case FieldState::kCapture:
-      if (fs.captures != 1) return false;
-      out->push_back(fs.text);
-      return true;
-  }
-  return false;
-}
-
-bool StreamRun::TupleOf(const Frame& frame, const std::vector<size_t>& fields,
-                        std::vector<std::string_view>* out) {
-  out->clear();
-  for (size_t f : fields) {
-    std::optional<std::string_view> v = SingleOf(frame.fields[f]);
-    if (!v.has_value()) return false;
-    out->push_back(*v);
-  }
-  return true;
-}
-
-void StreamRun::Append(std::unique_ptr<TupleLog>* log, uint32_t seq,
-                       uint32_t rank, std::string_view payload) {
-  if (spill_failed_) return;
-  if (*log == nullptr) *log = std::make_unique<TupleLog>(&budget_);
-  Status s = (*log)->Append(seq, rank, payload);
-  if (!s.ok()) {
-    spill_failed_ = true;
-    spill_error_ = std::move(s);
-    return;
-  }
-  ++extent_records_;
-}
-
-void StreamRun::EmitRoles(const Frame& frame) {
-  for (const Role& role : frame.info->tplan->roles) {
-    CLogs& cl = clogs_[role.constraint];
-    switch (role.kind) {
-      case Role::kKeyTuple:
-      case Role::kFkTuple:
-        if (!TupleOf(frame, role.fields, &view_scratch_)) {
-          cl.ext_missing.push_back(frame.seq);
-          break;
-        }
-        EncodeTupleInto(view_scratch_, &encode_buf_);
-        Append(&cl.ext, frame.seq, 0, encode_buf_);
-        break;
-      case Role::kFkTarget:
-        if (TupleOf(frame, role.fields, &view_scratch_)) {
-          EncodeTupleInto(view_scratch_, &encode_buf_);
-          Append(&cl.target, frame.seq, 0, encode_buf_);
-        }
-        break;
-      case Role::kSfkSource: {
-        if (!SetOf(frame.fields[role.fields[0]], &view_scratch_)) {
-          cl.ext_missing.push_back(frame.seq);
-          break;
-        }
-        uint32_t rank = 0;
-        for (std::string_view v : view_scratch_) {
-          Append(&cl.ext, frame.seq, rank++, v);
-        }
-        break;
-      }
-      case Role::kSfkTarget:
-        if (std::optional<std::string_view> v =
-                SingleOf(frame.fields[role.fields[0]])) {
-          Append(&cl.target, frame.seq, 0, *v);
-        }
-        break;
-      case Role::kIdExt:
-        if (std::optional<std::string_view> v =
-                SingleOf(frame.fields[role.fields[0]])) {
-          Append(&cl.ext, frame.seq, 0, *v);
-        } else {
-          cl.ext_missing.push_back(frame.seq);
-        }
-        break;
-      case Role::kInvExt:
-      case Role::kInvRef: {
-        CLogs::InvEntry e;
-        e.seq = frame.seq;
-        if (std::optional<std::string_view> k =
-                SingleOf(frame.fields[role.fields[0]])) {
-          e.has_key = true;
-          e.key = std::string(*k);
-        }
-        if (SetOf(frame.fields[role.fields[1]], &view_scratch_)) {
-          e.has_set = true;
-          e.set.assign(view_scratch_.begin(), view_scratch_.end());
-        }
-        (role.kind == Role::kInvExt ? cl.inv_ext : cl.inv_ref)
-            .push_back(std::move(e));
-        break;
-      }
-    }
   }
 }
 
@@ -639,303 +289,21 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
     out.parse = std::move(s);
     return out;
   }
-  Assemble(&out);
+  if (compile_ok_) {
+    out.structure = structure_.Finish(next_seq_);
+  } else {
+    out.structure.status = sv_.validator_.status();
+  }
+  out.constraints = constraints_.Finish();
+  out.stats.extent_records = constraints_.extent_records();
+  out.stats.spilled_bytes = constraints_.budget().spilled_bytes();
+  out.stats.spill_runs = constraints_.budget().spill_runs();
   span.AddInt("vertices", static_cast<int64_t>(out.stats.vertices));
   span.AddInt("spilled_bytes", static_cast<int64_t>(out.stats.spilled_bytes));
   XIC_COUNTER_ADD("stream.documents", 1);
   XIC_COUNTER_ADD("stream.vertices", out.stats.vertices);
   XIC_COUNTER_ADD("stream.spilled_bytes", out.stats.spilled_bytes);
   return out;
-}
-
-void StreamRun::Assemble(StreamOutcome* out) {
-  // Structure: restore the DOM validator's emission order.
-  if (!compile_ok_) {
-    out->structure.status = sv_.validator_.status();
-  } else {
-    std::stable_sort(sviols_.begin(), sviols_.end(),
-                     [](const SViol& a, const SViol& b) {
-                       if (a.seq != b.seq) return a.seq < b.seq;
-                       return a.rank < b.rank;
-                     });
-    const size_t cap = sv_.options_.validation.max_violations;
-    if (cap != 0 && sviols_.size() > cap) sviols_.resize(cap);
-    out->structure.violations.reserve(sviols_.size());
-    for (SViol& v : sviols_) {
-      out->structure.violations.push_back({v.seq, std::move(v.msg)});
-    }
-    out->structure.steps = next_seq_;
-  }
-  AssembleConstraints(&out->constraints);
-  out->constraints.steps = field_steps_;
-  out->stats.extent_records = extent_records_;
-  out->stats.spilled_bytes = budget_.spilled_bytes();
-  out->stats.spill_runs = budget_.spill_runs();
-}
-
-void StreamRun::AssembleConstraints(ConstraintReport* report) {
-  if (spill_failed_) {
-    report->status = spill_error_;
-    return;
-  }
-  const size_t cap = sv_.options_.check.max_violations;
-  auto full = [&] { return cap != 0 && report->violations.size() >= cap; };
-  auto add = [&](size_t index, std::string msg, std::vector<VertexId> wit,
-                 std::vector<std::string> values = {}) {
-    if (!full()) {
-      report->violations.push_back(
-          {index, std::move(msg), std::move(wit), std::move(values)});
-    }
-  };
-
-  // Document-wide ID table, reduced to the duplicated values (value ->
-  // every holder, in vertex order).
-  std::map<std::string, std::vector<VertexId>, std::less<>> dup_ids;
-  if (global_ids_ != nullptr) {
-    if (Status s = global_ids_->Finish(); !s.ok()) {
-      report->status = std::move(s);
-      return;
-    }
-    TupleLog::Cursor cur = global_ids_->Scan();
-    TupleLog::Record r;
-    std::string value;
-    std::vector<VertexId> holders;
-    bool have = false;
-    auto flush = [&] {
-      if (have && holders.size() > 1) dup_ids.emplace(value, holders);
-    };
-    while (cur.Next(&r)) {
-      if (!have || r.payload != value) {
-        flush();
-        value = std::string(r.payload);
-        holders.clear();
-        have = true;
-      }
-      holders.push_back(r.seq);
-    }
-    flush();
-  }
-
-  // A violation pending its position among the constraint's others.
-  struct PV {
-    uint32_t seq;
-    uint32_t rank;
-    std::string msg;
-    std::vector<VertexId> wit;
-    std::vector<std::string> values;
-  };
-  std::vector<PV> pvs;
-
-  for (size_t i = 0; i < sv_.sigma_.constraints.size() && !full(); ++i) {
-    if (Status s = deadline_.Check("constraint check"); !s.ok()) {
-      report->status = std::move(s);
-      return;
-    }
-    const Constraint& c = sv_.sigma_.constraints[i];
-    CLogs& cl = clogs_[i];
-    for (std::unique_ptr<TupleLog>* log : {&cl.ext, &cl.target}) {
-      if (*log != nullptr) {
-        if (Status s = (*log)->Finish(); !s.ok()) {
-          report->status = std::move(s);
-          return;
-        }
-      }
-    }
-    std::sort(cl.ext_missing.begin(), cl.ext_missing.end());
-    pvs.clear();
-
-    switch (c.kind) {
-      case ConstraintKind::kKey: {
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor cur = cl.ext->Scan();
-          TupleLog::Record r;
-          std::string group;
-          uint32_t first = 0;
-          bool have = false;
-          while (cur.Next(&r)) {
-            if (!have || r.payload != group) {
-              group = std::string(r.payload);
-              first = r.seq;
-              have = true;
-              continue;
-            }
-            std::vector<std::string> vals = DecodeTuple(r.payload);
-            pvs.push_back(PV{r.seq, 0,
-                             "duplicate key [" + Join(vals, ",") + "]",
-                             {first, r.seq}, std::move(vals)});
-          }
-        }
-        for (uint32_t seq : cl.ext_missing) {
-          pvs.push_back(PV{seq, 0, "key field missing", {seq}, {}});
-        }
-        break;
-      }
-
-      case ConstraintKind::kId: {
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor cur = cl.ext->Scan();
-          TupleLog::Record r;
-          std::string group;
-          bool have = false;
-          while (cur.Next(&r)) {
-            if (have && r.payload == group) continue;
-            group = std::string(r.payload);
-            have = true;
-            auto it = dup_ids.find(r.payload);
-            if (it != dup_ids.end()) {
-              pvs.push_back(PV{r.seq, 0,
-                               "ID value \"" + group +
-                                   "\" is not document-unique",
-                               it->second, {group}});
-            }
-          }
-        }
-        for (uint32_t seq : cl.ext_missing) {
-          pvs.push_back(PV{seq, 0, "ID attribute missing", {seq}, {}});
-        }
-        break;
-      }
-
-      case ConstraintKind::kForeignKey:
-      case ConstraintKind::kSetForeignKey: {
-        const bool set_valued = c.kind == ConstraintKind::kSetForeignKey;
-        std::optional<TupleLog::Cursor> tcur;
-        TupleLog::Record t;
-        bool thave = false;
-        if (cl.target != nullptr) {
-          tcur = cl.target->Scan();
-          thave = tcur->Next(&t);
-        }
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor ecur = cl.ext->Scan();
-          TupleLog::Record e;
-          while (ecur.Next(&e)) {
-            while (thave && t.payload < e.payload) thave = tcur->Next(&t);
-            if (thave && t.payload == e.payload) continue;
-            if (set_valued) {
-              pvs.push_back(PV{e.seq, e.rank,
-                               "dangling reference \"" +
-                                   std::string(e.payload) + "\"",
-                               {e.seq},
-                               {std::string(e.payload)}});
-            } else {
-              std::vector<std::string> vals = DecodeTuple(e.payload);
-              pvs.push_back(PV{e.seq, 0,
-                               "dangling reference [" + Join(vals, ",") + "]",
-                               {e.seq}, std::move(vals)});
-            }
-          }
-        }
-        const char* missing_msg = set_valued ? "set-valued field missing"
-                                             : "foreign-key field missing";
-        for (uint32_t seq : cl.ext_missing) {
-          pvs.push_back(PV{seq, 0, missing_msg, {seq}, {}});
-        }
-        break;
-      }
-
-      case ConstraintKind::kInverse: {
-        const StreamValidator::InverseKeys& ik = sv_.inverse_keys_[i];
-        if (ik.key.empty() || ik.ref_key.empty()) {
-          add(i, "inverse constraint lacks key attributes", {});
-          break;
-        }
-        auto by_seq = [](const CLogs::InvEntry& a, const CLogs::InvEntry& b) {
-          return a.seq < b.seq;
-        };
-        std::sort(cl.inv_ext.begin(), cl.inv_ext.end(), by_seq);
-        std::sort(cl.inv_ref.begin(), cl.inv_ref.end(), by_seq);
-        // key value -> entries, in extent (vertex) order. Views into the
-        // entries' key strings: stable, the vectors no longer move.
-        std::map<std::string_view, std::vector<size_t>> by_key, ref_by_key;
-        for (size_t k = 0; k < cl.inv_ext.size(); ++k) {
-          if (cl.inv_ext[k].has_key) {
-            by_key[cl.inv_ext[k].key].push_back(k);
-          }
-        }
-        for (size_t k = 0; k < cl.inv_ref.size(); ++k) {
-          if (cl.inv_ref[k].has_key) {
-            ref_by_key[cl.inv_ref[k].key].push_back(k);
-          }
-        }
-        auto contains = [](const std::vector<std::string>& set,
-                           const std::string& val) {
-          return std::binary_search(set.begin(), set.end(), val);
-        };
-        // The checker's four passes, in its exact emission order.
-        for (const CLogs::InvEntry& x : cl.inv_ext) {
-          if (full()) break;
-          if (!x.has_set) continue;
-          for (const std::string& val : x.set) {
-            if (ref_by_key.count(val) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.ref_element + " key",
-                  {x.seq}, {val});
-              if (full()) break;
-            }
-          }
-        }
-        for (const CLogs::InvEntry& y : cl.inv_ref) {
-          if (full()) break;
-          if (!y.has_set) continue;
-          for (const std::string& val : y.set) {
-            if (by_key.count(val) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.element + " key",
-                  {y.seq}, {val});
-              if (full()) break;
-            }
-          }
-        }
-        for (const CLogs::InvEntry& y : cl.inv_ref) {
-          if (full()) break;
-          if (!y.has_set || !y.has_key) continue;
-          for (const std::string& val : y.set) {
-            auto it = by_key.find(std::string_view(val));
-            if (it == by_key.end()) continue;
-            for (size_t xi : it->second) {
-              const CLogs::InvEntry& x = cl.inv_ext[xi];
-              if (!x.has_set || !contains(x.set, y.key)) {
-                add(i, "inverse missing: " + c.ref_element + " \"" + y.key +
-                           "\" references \"" + val + "\" but not back",
-                    {x.seq, y.seq}, {y.key});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-        }
-        for (const CLogs::InvEntry& x : cl.inv_ext) {
-          if (full()) break;
-          if (!x.has_set || !x.has_key) continue;
-          for (const std::string& val : x.set) {
-            auto it = ref_by_key.find(std::string_view(val));
-            if (it == ref_by_key.end()) continue;
-            for (size_t yi : it->second) {
-              const CLogs::InvEntry& y = cl.inv_ref[yi];
-              if (!y.has_set || !contains(y.set, x.key)) {
-                add(i, "inverse missing: " + c.element + " \"" + x.key +
-                           "\" references \"" + val + "\" but not back",
-                    {y.seq, x.seq}, {x.key});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-        }
-        break;
-      }
-    }
-
-    std::stable_sort(pvs.begin(), pvs.end(), [](const PV& a, const PV& b) {
-      if (a.seq != b.seq) return a.seq < b.seq;
-      return a.rank < b.rank;
-    });
-    for (PV& p : pvs) {
-      if (full()) break;
-      add(i, std::move(p.msg), std::move(p.wit), std::move(p.values));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

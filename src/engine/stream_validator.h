@@ -3,41 +3,34 @@
 // a StreamTokenizer event stream, without ever materializing the
 // DataTree.
 //
-// How the two checks stream:
+// This file only feeds tokenizer events to the checks. The checks are
+// the two halves the DOM path uses, StructureRun
+// (model/structural_validator.h) and ConstraintRun
+// (constraints/checker.h); events become their per-vertex calls:
 //
-//   * Structure: each open element carries an incremental run of its
-//     type's Glushkov automaton (GlushkovAutomaton::RunState); child
-//     labels and qualifying text runs step it as they arrive, and
-//     acceptance is decided at the end tag. Attribute checks run at the
-//     start tag. Peak state is O(open-element depth), plus one interned
-//     child-label word per open element (needed only to render the DOM
-//     checker's exact violation message).
+//   * Structure: each open element carries a StructureRun::Vertex whose
+//     child word grows as child labels and qualifying text runs arrive;
+//     attributes are checked at the start tag and the word is matched
+//     against the content model at the end tag. Peak state is one child
+//     word per open element.
 //
-//   * Constraints: only the field tuples that constraints actually
-//     mention are extracted -- attributes at the start tag, unique
-//     sub-element text captured while the subtree streams by -- and
-//     appended to per-constraint TupleLogs (engine/extent_log.h) keyed
-//     by the vertex's pre-order id. A post-pass turns sorted scans of
-//     those logs into the violation list: duplicate keys by group
-//     iteration, foreign keys by merge-join against the target-key log,
-//     document-wide IDs via a global ID log. Logs spill to disk past the
-//     shared budget, so memory stays bounded by the spill budget, not
-//     the extent sizes. (Exception: inverse constraints need random
-//     access to both extents and are evaluated in memory; documents
-//     whose *inverse-constrained* extents exceed memory are out of
-//     scope, as DESIGN.md records.)
+//   * Constraints: the fields the constraints read are resolved while
+//     the element streams by -- attributes at the start tag, unique
+//     sub-element text captured from the subtree -- and handed to the
+//     ConstraintRun at the end tag. Its tuple logs spill to disk past
+//     spill_budget_bytes, so memory stays bounded by the budget, not the
+//     extent sizes. (Exception: inverse constraints are evaluated in
+//     memory; DESIGN.md records the bound.)
 //
-// Verdict parity: vertex ids equal ParseXml's pre-order AddVertex
-// ids, violations are re-ordered to the DOM checkers' emission order,
-// and messages reuse the same rendering, so ValidationReport::ToString()
-// and ConstraintReport::ToString() are byte-identical to the
-// materialized pipeline on every document (pinned by the stream oracle
-// in src/fuzzing/ and tests/stream_test.cc).
+// Vertex ids are ParseXml's pre-order AddVertex ids and both halves are
+// shared with the tree walks (Validate, Check), so
+// ValidationReport::ToString() and ConstraintReport::ToString() are
+// byte-identical to the materialized pipeline on every document (pinned
+// by the stream oracle in src/fuzzing/ and tests/stream_test.cc).
 
 #ifndef XIC_ENGINE_STREAM_VALIDATOR_H_
 #define XIC_ENGINE_STREAM_VALIDATOR_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +50,7 @@ struct StreamOptions {
   /// Structural-check options (allow_missing_attributes, max_violations;
   /// limits.max_automaton_states bounds content-model compilation).
   ValidationOptions validation;
-  /// Constraint-check options (max_violations; `naive` is meaningless
-  /// here and ignored -- the streaming evaluation is merge-join based).
+  /// Constraint-check options (max_violations).
   CheckOptions check;
   /// Input bounds for the tokenizer (document bytes, depth, attributes,
   /// expansion); the same limits ParseXml enforces.
@@ -98,10 +90,12 @@ struct StreamOutcome {
 
 struct SelfDescribingStreamResult;
 
-/// Streaming twin of BatchValidator for one precompiled schema: compile
-/// the DTD's automata and the constraint plan once, then validate any
-/// number of byte streams against them. Thread-safe after construction
-/// (Run() keeps all mutable state on the caller's stack).
+/// The compiled plan of the full check for one schema: the DTD's
+/// automata (StructuralValidator) and the constraint plan
+/// (ConstraintChecker), compiled once. Run() validates any number of byte
+/// streams against it; validator() and checker() validate resident
+/// trees. Thread-safe after construction (all per-document state lives
+/// on the caller's stack).
 class StreamValidator {
  public:
   /// The DTD and Sigma must outlive the validator and stay unmodified.
@@ -113,6 +107,9 @@ class StreamValidator {
   /// Not-OK when content-model compilation hit a resource limit; Run()
   /// then reports it as every document's structure status.
   const Status& status() const { return validator_.status(); }
+
+  const StructuralValidator& validator() const { return validator_; }
+  const ConstraintChecker& checker() const { return checker_; }
 
   StreamOutcome Run(ByteSource& source) const {
     return Run(source, options_.deadline, options_.limits);
@@ -135,45 +132,10 @@ class StreamValidator {
                         const DtdStructure& tok_dtd,
                         const Deadline& deadline) const;
 
-  /// Per-constraint-position extraction roles of one element type.
-  struct Role {
-    enum Kind {
-      kKeyTuple,   // ext(tau) of a key: encoded tuple -> ext log
-      kFkTuple,    // ext(tau) of a foreign key: tuple -> ext log
-      kFkTarget,   // ext(tau') of a foreign key: tuple -> target log
-      kSfkSource,  // ext(tau) of a set-valued FK: each value -> ext log
-      kSfkTarget,  // ext(tau') of a set-valued FK: value -> target log
-      kIdExt,      // ext(tau) of an ID constraint: value -> ext log
-      kInvExt,     // ext(tau) of an inverse: (key, set) -> in-memory
-      kInvRef,     // ext(tau') of an inverse: (key, set) -> in-memory
-    };
-    Kind kind;
-    size_t constraint;
-    std::vector<size_t> fields;  // indexes into TypePlan::fields
-  };
-
-  /// Everything the stream must extract from vertices of one type.
-  struct TypePlan {
-    std::vector<std::string> fields;  // distinct field names
-    /// Parallel: declared as an attribute in the DTD? (A declared-but-
-    /// absent attribute is a missing field, never a sub-element -- the
-    /// checker's FieldValue contract.)
-    std::vector<bool> field_declared;
-    std::vector<Role> roles;
-  };
-
   const DtdStructure& dtd_;
-  const ConstraintSet& sigma_;
   StreamOptions options_;
   StructuralValidator validator_;
-  std::map<std::string, TypePlan, std::less<>> type_plans_;
-  /// Resolved inverse key attributes, parallel to sigma (the checker's
-  /// compiled plan).
-  struct InverseKeys {
-    std::string key, ref_key;
-  };
-  std::vector<InverseKeys> inverse_keys_;
-  bool needs_global_ids_ = false;
+  ConstraintChecker checker_;
 };
 
 /// One-shot streaming check of a *self-describing* document (DTD^C in

@@ -9,6 +9,7 @@
 #include "constraints/incremental.h"
 #include "constraints/well_formed.h"
 #include "engine/stream_validator.h"
+#include "fuzzing/reference_checker.h"
 #include "implication/countermodel.h"
 #include "implication/l_general_solver.h"
 #include "implication/lid_solver.h"
@@ -140,31 +141,24 @@ CorpusEntry MakeEntry(OracleId oracle, uint64_t seed, std::string note,
   return entry;
 }
 
-// -- Oracle 1: naive vs. fast ConstraintChecker ---------------------------
+// -- Oracle 1: reference evaluator vs. the constraint core --------------
 
 std::optional<std::string> CompareCheckerModes(const DtdStructure& dtd,
                                                const ConstraintSet& sigma,
                                                const DataTree& tree) {
   for (size_t max_violations : {size_t{0}, size_t{1}, size_t{2}}) {
-    CheckOptions fast_options;
-    fast_options.max_violations = max_violations;
-    CheckOptions naive_options = fast_options;
-    naive_options.naive = true;
-    ConstraintChecker fast(dtd, sigma, fast_options);
-    ConstraintChecker naive(dtd, sigma, naive_options);
-    ConstraintReport fast_report = fast.Check(tree);
-    ConstraintReport naive_report = naive.Check(tree);
-    if (!fast_report.status.ok() || !naive_report.status.ok()) {
-      return "checker status not OK: fast=" +
-             fast_report.status.ToString() +
-             " naive=" + naive_report.status.ToString();
+    ConstraintChecker core(dtd, sigma, {.max_violations = max_violations});
+    ConstraintReport core_report = core.Check(tree);
+    if (!core_report.status.ok()) {
+      return "checker status not OK: " + core_report.status.ToString();
     }
-    std::string fast_rendering = RenderReport(fast_report);
-    std::string naive_rendering = RenderReport(naive_report);
-    if (fast_rendering != naive_rendering) {
-      return "naive/fast reports diverge (max_violations=" +
-             std::to_string(max_violations) + ")\n--- fast ---\n" +
-             fast_rendering + "--- naive ---\n" + naive_rendering;
+    std::string core_rendering = RenderReport(core_report);
+    std::string reference_rendering =
+        RenderReport(ReferenceCheck(dtd, sigma, tree, max_violations));
+    if (core_rendering != reference_rendering) {
+      return "reference/core reports diverge (max_violations=" +
+             std::to_string(max_violations) + ")\n--- core ---\n" +
+             core_rendering + "--- reference ---\n" + reference_rendering;
     }
   }
   return std::nullopt;

@@ -4,9 +4,10 @@
 // paper semantics against each other (DESIGN.md "Differential testing"
 // has the full trust hierarchy):
 //
-//   kChecker      naive (nested-loop) vs. fast (hash-index)
-//                 ConstraintChecker: identical violation reports, also
-//                 under max_violations truncation.
+//   kChecker      the nested-loop reference evaluator
+//                 (fuzzing/reference_checker.h) vs. the constraint core
+//                 (ConstraintChecker::Check): identical violation reports,
+//                 also under max_violations truncation.
 //   kIncremental  IncrementalChecker replaying an update sequence vs. a
 //                 batch re-check of its tree after *every* operation;
 //                 rejected operations must leave the verdict unchanged.
@@ -22,9 +23,9 @@
 //   kLint         xiclint determinism (two runs byte-identical) and
 //                 verdict invariance under a WriteDtdC / ParseDtdC
 //                 round-trip.
-//   kStream       the streaming pipeline (StreamValidateSelfDescribing,
+//   kStream       the core fed by the tokenizer (StreamValidateSelfDescribing,
 //                 spill budgets from never-spill to spill-everything)
-//                 vs. the materialized DOM pipeline: parse status,
+//                 vs. the core fed by the parsed tree: parse status,
 //                 structure report and constraint report must agree
 //                 byte-for-byte, witnesses included. The DOM side
 //                 tokenizes in place, the stream side through the

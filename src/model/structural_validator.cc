@@ -1,8 +1,9 @@
 #include "model/structural_validator.h"
 
+#include <algorithm>
+
 #include "obs/obs.h"
 #include "regex/glushkov.h"
-#include "util/strings.h"
 
 namespace xic {
 
@@ -34,7 +35,6 @@ StructuralValidator::StructuralValidator(const DtdStructure& dtd,
   }
   for (const std::string& element : dtd_.Elements()) {
     ElementPlan plan;
-    plan.index = static_cast<int>(plans_.size());
     auto it = automata_.find(element);
     if (it != automata_.end()) plan.automaton = &it->second;
     plan.attr_names = dtd_.Attributes(element);
@@ -49,7 +49,38 @@ StructuralValidator::StructuralValidator(const DtdStructure& dtd,
 ValidationReport StructuralValidator::Validate(
     const DataTree& tree, const Deadline& deadline) const {
   obs::ScopedSpan span("validate.structure", "model");
-  ValidationReport report = ValidateImpl(tree, deadline);
+  ValidationReport report;
+  if (!status_.ok()) {
+    report.status = status_;
+  } else if (tree.empty()) {
+    report.violations.push_back({kInvalidVertex, "empty document"});
+  } else {
+    // The tree walk: every vertex in id order -- detached ones
+    // included -- with its attributes and children exactly as stored.
+    StructureRun run(*this, tree.symbols());
+    StructureRun::Vertex vertex;
+    size_t steps = 0;
+    Status status = Status::OK();
+    for (VertexId v = 0; v < tree.size() && !run.full(); ++v) {
+      if ((v & 0x3F) == 0) {
+        status = deadline.Check("structural validation");
+        if (!status.ok()) break;
+      }
+      ++steps;
+      run.Open(&vertex, v, tree.label_symbol(v),
+               tree.attributes(v).entries());
+      if (vertex.automaton != nullptr) {
+        for (const Child& c : tree.children(v)) {
+          const VertexId* child = std::get_if<VertexId>(&c);
+          run.Child(&vertex, child != nullptr ? tree.label_symbol(*child)
+                                              : kInvalidSymbol);
+        }
+      }
+      run.Close(vertex);
+    }
+    report = run.Finish(steps);
+    report.status = std::move(status);
+  }
   span.AddInt("vertices", static_cast<int64_t>(tree.size()));
   span.AddInt("steps", static_cast<int64_t>(report.steps));
   span.AddInt("violations", static_cast<int64_t>(report.violations.size()));
@@ -59,145 +90,11 @@ ValidationReport StructuralValidator::Validate(
   return report;
 }
 
-ValidationReport StructuralValidator::ValidateImpl(
-    const DataTree& tree, const Deadline& deadline) const {
-  ValidationReport report;
-  if (!status_.ok()) {
-    report.status = status_;
-    return report;
-  }
-  auto add = [&](VertexId v, std::string msg) {
-    if (options_.max_violations == 0 ||
-        report.violations.size() < options_.max_violations) {
-      report.violations.push_back({v, std::move(msg)});
-    }
-  };
-  auto full = [&] {
-    return options_.max_violations != 0 &&
-           report.violations.size() >= options_.max_violations;
-  };
-
-  if (tree.empty()) {
-    add(kInvalidVertex, "empty document");
-    return report;
-  }
-  if (tree.label(tree.root()) != dtd_.root()) {
-    add(tree.root(), "root labeled " + tree.label(tree.root()) +
-                         ", expected " + dtd_.root());
-  }
-
-  // Translate the document's interned names to element plans once: after
-  // this loop no per-vertex work touches a string except to render a
-  // violation message.
-  const SymbolTable& syms = tree.symbols();
-  const size_t nsyms = syms.size();
-  std::vector<const ElementPlan*> plan_of(nsyms, nullptr);
-  for (Symbol s = 0; s < nsyms; ++s) {
-    auto it = plans_.find(syms.name(s));
-    if (it != plans_.end()) plan_of[s] = &it->second;
-  }
-  // Per-plan translation caches, built lazily for the element types this
-  // document actually uses:
-  //   alpha_of[plan]: tree Symbol -> alphabet id of the plan's automaton
-  //                   (slot nsyms holds kStringSymbol for text children),
-  //   attr_sym_of[plan]: declared-attribute slot -> tree Symbol.
-  std::vector<std::vector<int>> alpha_of(plans_.size());
-  std::vector<std::vector<Symbol>> attr_sym_of(plans_.size());
-  std::vector<char> plan_ready(plans_.size(), 0);
-  auto prepare_plan = [&](const ElementPlan& plan) {
-    if (plan_ready[plan.index]) return;
-    plan_ready[plan.index] = 1;
-    if (plan.automaton != nullptr) {
-      std::vector<int>& alpha = alpha_of[plan.index];
-      alpha.resize(nsyms + 1);
-      for (Symbol s = 0; s < nsyms; ++s) {
-        alpha[s] = plan.automaton->FindAlphabetId(syms.name(s));
-      }
-      alpha[nsyms] = plan.automaton->FindAlphabetId(kStringSymbol);
-    }
-    std::vector<Symbol>& attr_syms = attr_sym_of[plan.index];
-    attr_syms.reserve(plan.attr_names.size());
-    for (const std::string& attr : plan.attr_names) {
-      attr_syms.push_back(tree.FindName(attr));
-    }
-  };
-  std::vector<int> word;  // child-word scratch, reused across vertices
-
-  for (VertexId v = 0; v < tree.size() && !full(); ++v) {
-    if ((v & 0x3F) == 0) {
-      if (Status s = deadline.Check("structural validation"); !s.ok()) {
-        report.status = std::move(s);
-        return report;
-      }
-    }
-    ++report.steps;
-    const Symbol tau_sym = tree.label_symbol(v);
-    const ElementPlan* plan = plan_of[tau_sym];
-    if (plan == nullptr) {
-      add(v, "undeclared element type " + tree.label(v));
-      continue;
-    }
-    prepare_plan(*plan);
-    // Children against L(P(tau)).
-    if (plan->automaton != nullptr) {
-      const std::vector<int>& alpha = alpha_of[plan->index];
-      word.clear();
-      for (const Child& c : tree.children(v)) {
-        if (const VertexId* id = std::get_if<VertexId>(&c)) {
-          word.push_back(alpha[tree.label_symbol(*id)]);
-        } else {
-          word.push_back(alpha[nsyms]);
-        }
-      }
-      if (!plan->automaton->MatchesIds(word.data(), word.size())) {
-        std::string rendered = Join(tree.ChildWord(v), " ");
-        add(v, "children [" + rendered + "] do not match content model of " +
-                   tree.label(v));
-      }
-    }
-    // Attributes: declared <-> present, single-valued are singletons.
-    const std::vector<Symbol>& attr_syms = attr_sym_of[plan->index];
-    size_t declared_present = 0;
-    for (const DataTree::AttrEntry& e : tree.attributes(v).entries()) {
-      size_t slot = attr_syms.size();
-      for (size_t j = 0; j < attr_syms.size(); ++j) {
-        if (attr_syms[j] == e.name) {
-          slot = j;
-          break;
-        }
-      }
-      if (slot == attr_syms.size()) {
-        add(v, "undeclared attribute " + tree.label(v) + "." +
-                   syms.name(e.name));
-        continue;
-      }
-      ++declared_present;
-      if (plan->attr_single[slot] && e.value.size() != 1) {
-        add(v, "single-valued attribute " + tree.label(v) + "." +
-                   syms.name(e.name) + " holds " +
-                   std::to_string(e.value.size()) + " values");
-      }
-    }
-    if (!options_.allow_missing_attributes &&
-        declared_present != attr_syms.size()) {
-      for (size_t j = 0; j < attr_syms.size(); ++j) {
-        if (attr_syms[j] == kInvalidSymbol ||
-            tree.FindAttr(v, attr_syms[j]) == nullptr) {
-          add(v, "missing declared attribute " + tree.label(v) + "." +
-                     plan->attr_names[j]);
-        }
-      }
-    }
-  }
-  return report;
-}
-
 std::optional<StructuralValidator::PlanView> StructuralValidator::PlanFor(
     std::string_view element) const {
   auto it = plans_.find(element);
   if (it == plans_.end()) return std::nullopt;
-  return PlanView{it->second.automaton, &it->second.attr_names,
-                  &it->second.attr_single};
+  return PlanView{it->second.automaton};
 }
 
 bool StructuralValidator::AllContentModelsDeterministic() const {
@@ -205,6 +102,139 @@ bool StructuralValidator::AllContentModelsDeterministic() const {
     if (!automaton.IsOneUnambiguous()) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// StructureRun
+
+StructureRun::StructureRun(const StructuralValidator& validator,
+                           const SymbolTable& symbols)
+    : validator_(validator),
+      symbols_(symbols),
+      cap_(validator.options_.max_violations) {}
+
+StructureRun::Type& StructureRun::TypeOf(Symbol label) {
+  if (types_.size() <= label) types_.resize(symbols_.size());
+  Type& type = types_[label];
+  if (type.resolved) return type;
+  type.resolved = true;
+  auto it = validator_.plans_.find(symbols_.name(label));
+  if (it == validator_.plans_.end()) return type;
+  type.plan = &it->second;
+  if (type.plan->automaton != nullptr) {
+    type.text_alpha = type.plan->automaton->FindAlphabetId(kStringSymbol);
+  }
+  return type;
+}
+
+void StructureRun::Open(Vertex* v, uint32_t seq, Symbol label,
+                        const std::vector<DataTree::AttrEntry>& attrs) {
+  v->seq = seq;
+  v->label = label;
+  v->automaton = nullptr;
+  v->word.clear();
+  const std::string& name = symbols_.name(label);
+  if (seq == 0 && name != validator_.dtd_.root()) {
+    Add(0, Rank(0, 0),
+        "root labeled " + name + ", expected " + validator_.dtd_.root());
+  }
+  Type& type = TypeOf(label);
+  if (type.plan == nullptr) {
+    Add(seq, Rank(1, 0), "undeclared element type " + name);
+    return;
+  }
+  const StructuralValidator::ElementPlan& plan = *type.plan;
+  if (plan.automaton != nullptr) {
+    v->automaton = plan.automaton;
+    v->type = label;
+  }
+  // Attributes: declared <-> present, single-valued are singletons.
+  auto slot_of = [&](Symbol attr) {
+    if (type.attr_slot.size() <= attr) {
+      type.attr_slot.resize(symbols_.size(), -2);
+    }
+    int& slot = type.attr_slot[attr];
+    if (slot == -2) {
+      auto at = std::lower_bound(plan.attr_names.begin(),
+                                 plan.attr_names.end(), symbols_.name(attr));
+      slot = at != plan.attr_names.end() && *at == symbols_.name(attr)
+                 ? static_cast<int>(at - plan.attr_names.begin())
+                 : -1;
+    }
+    return slot;
+  };
+  size_t declared_present = 0;
+  for (size_t idx = 0; idx < attrs.size(); ++idx) {
+    const int slot = slot_of(attrs[idx].name);
+    if (slot < 0) {
+      Add(seq, Rank(3, idx), "undeclared attribute " + name + "." +
+                                 symbols_.name(attrs[idx].name));
+      continue;
+    }
+    ++declared_present;
+    if (plan.attr_single[slot] && attrs[idx].value.size() != 1) {
+      Add(seq, Rank(3, idx),
+          "single-valued attribute " + name + "." +
+              symbols_.name(attrs[idx].name) + " holds " +
+              std::to_string(attrs[idx].value.size()) + " values");
+    }
+  }
+  if (!validator_.options_.allow_missing_attributes &&
+      declared_present != plan.attr_names.size()) {
+    std::vector<bool> present(plan.attr_names.size(), false);
+    for (const DataTree::AttrEntry& a : attrs) {
+      if (int slot = slot_of(a.name); slot >= 0) present[slot] = true;
+    }
+    for (size_t j = 0; j < present.size(); ++j) {
+      if (!present[j]) {
+        Add(seq, Rank(4, j),
+            "missing declared attribute " + name + "." + plan.attr_names[j]);
+      }
+    }
+  }
+}
+
+void StructureRun::Close(const Vertex& v) {
+  if (v.automaton == nullptr) return;
+  Type& type = types_[v.type];
+  ids_.clear();
+  for (Symbol child : v.word) {
+    if (child == kInvalidSymbol) {
+      ids_.push_back(type.text_alpha);
+      continue;
+    }
+    if (type.alpha.size() <= child) type.alpha.resize(symbols_.size(), -2);
+    int& alpha = type.alpha[child];
+    if (alpha == -2) alpha = v.automaton->FindAlphabetId(symbols_.name(child));
+    ids_.push_back(alpha);
+  }
+  if (v.automaton->MatchesIds(ids_.data(), ids_.size())) return;
+  std::string rendered;
+  for (size_t i = 0; i < v.word.size(); ++i) {
+    if (i > 0) rendered += ' ';
+    rendered += v.word[i] == kInvalidSymbol ? std::string(kStringSymbol)
+                                            : symbols_.name(v.word[i]);
+  }
+  Add(v.seq, Rank(2, 0),
+      "children [" + rendered + "] do not match content model of " +
+          symbols_.name(v.label));
+}
+
+ValidationReport StructureRun::Finish(size_t steps) {
+  std::stable_sort(violations_.begin(), violations_.end(),
+                   [](const Pending& a, const Pending& b) {
+                     if (a.seq != b.seq) return a.seq < b.seq;
+                     return a.rank < b.rank;
+                   });
+  if (cap_ != 0 && violations_.size() > cap_) violations_.resize(cap_);
+  ValidationReport report;
+  report.steps = steps;
+  report.violations.reserve(violations_.size());
+  for (Pending& p : violations_) {
+    report.violations.push_back({p.seq, std::move(p.message)});
+  }
+  violations_.clear();
+  return report;
 }
 
 }  // namespace xic

@@ -106,58 +106,6 @@ bool GlushkovAutomaton::Matches(const std::vector<std::string>& word) const {
   return MatchesIds(ids.data(), ids.size());
 }
 
-void GlushkovAutomaton::Step(RunState* run, int alpha) const {
-  if (run->dead) return;
-  if (alpha < 0) {  // foreign symbol: no transition
-    // started must flip too: a dead run that consumed input is not the
-    // empty word, so Accepts may not fall back to nullable().
-    run->started = true;
-    run->dead = true;
-    return;
-  }
-  if (use_masks_) {
-    uint64_t current;
-    if (!run->started) {
-      current = first_mask_ & alpha_masks_[alpha];
-    } else {
-      uint64_t reachable = 0;
-      for (uint64_t bits = run->mask; bits != 0; bits &= bits - 1) {
-        reachable |= follow_masks_[std::countr_zero(bits)];
-      }
-      current = reachable & alpha_masks_[alpha];
-    }
-    run->mask = current;
-    run->started = true;
-    if (current == 0) run->dead = true;
-    return;
-  }
-  std::set<int> next;
-  if (!run->started) {
-    for (int p : first_) {
-      if (pos_alpha_[p] == alpha) next.insert(p);
-    }
-  } else {
-    for (int p : run->states) {
-      for (int q : follow_[p]) {
-        if (pos_alpha_[q] == alpha) next.insert(q);
-      }
-    }
-  }
-  run->states = std::move(next);
-  run->started = true;
-  if (run->states.empty()) run->dead = true;
-}
-
-bool GlushkovAutomaton::Accepts(const RunState& run) const {
-  if (!run.started) return nullable_;
-  if (run.dead) return false;
-  if (use_masks_) return (run.mask & last_mask_) != 0;
-  for (int p : run.states) {
-    if (last_.count(p) > 0) return true;
-  }
-  return false;
-}
-
 bool GlushkovAutomaton::MatchesIds(const int* word, size_t len) const {
   if (len == 0) return nullable_;
   if (use_masks_) {

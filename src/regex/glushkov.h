@@ -67,30 +67,6 @@ class GlushkovAutomaton {
   /// True iff the word (as alphabet ids; -1 for foreign symbols) matches.
   bool MatchesIds(const int* word, size_t len) const;
 
-  // -- Incremental runs (streaming validation) ------------------------------
-  //
-  // A RunState holds the live NFA state for one word fed label-by-label,
-  // so a streaming caller can step a vertex's children as their start tags
-  // arrive instead of buffering the whole child word. Semantics match
-  // MatchesIds exactly: StartRun();  for each label Step(&run, id);
-  // Accepts(run) == MatchesIds(word, len).
-
-  struct RunState {
-    bool started = false;  // false until the first Step (empty word so far)
-    bool dead = false;     // no position set can match any continuation
-    uint64_t mask = 0;     // current positions (mask path)
-    std::set<int> states;  // current positions (set fallback, > 64 pos)
-  };
-
-  /// A fresh run with no labels consumed.
-  RunState StartRun() const { return RunState{}; }
-
-  /// Consumes one label (alphabet id; -1 for foreign symbols).
-  void Step(RunState* run, int alpha) const;
-
-  /// True iff the labels consumed so far form a word in L(re).
-  bool Accepts(const RunState& run) const;
-
   /// True iff the content model is 1-unambiguous (deterministic per the
   /// XML spec): no two distinct positions with the same symbol are both in
   /// First, or both in Follow(p) for some position p.

@@ -53,11 +53,10 @@ struct CompiledPlan {
   ConstraintSet sigma;
   /// Compiled validator referencing `dtd` / `sigma` above. Constructed
   /// after the struct is heap-allocated so the references stay stable.
+  /// Serves both validate (DOM) and validate.stream
+  /// (RunOverrides::stream): same verdict bytes, bounded memory per
+  /// streaming request.
   std::unique_ptr<BatchValidator> validator;
-  /// Streaming twin of `validator` (BatchOptions::stream), backing the
-  /// validate.stream verb: same verdict bytes, bounded memory per
-  /// request. Compiled alongside so both verbs share one cache entry.
-  std::unique_ptr<BatchValidator> stream_validator;
   /// Estimated resident footprint, charged against the cache budget.
   size_t bytes = 0;
 };

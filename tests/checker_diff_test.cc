@@ -1,9 +1,9 @@
-// Differential suite: the ConstraintChecker's indexed fast path and its
-// naive nested-loop mode (options_.naive) must report the *same*
-// violations in the same order on every document. Generated documents
-// with a tiny attribute value pool make duplicate keys and dangling
-// references common, so the two evaluation strategies get exercised on
-// violating inputs, not just clean ones.
+// Differential suite: the ConstraintChecker's sorted-log core and the
+// nested-loop reference evaluator (fuzzing/reference_checker.h) must
+// report the *same* violations in the same order on every document.
+// Generated documents with a tiny attribute value pool make duplicate
+// keys and dangling references common, so the two evaluation strategies
+// get exercised on violating inputs, not just clean ones.
 
 #include <string>
 
@@ -11,6 +11,7 @@
 
 #include "constraints/checker.h"
 #include "constraints/constraint_parser.h"
+#include "fuzzing/reference_checker.h"
 #include "model/doc_generator.h"
 
 namespace {
@@ -51,11 +52,10 @@ ConstraintSet DiffSigma() {
       .value();
 }
 
-TEST(CheckerDiff, FastAndNaiveAgreeOnGeneratedDocuments) {
+TEST(CheckerDiff, CoreAndReferenceAgreeOnGeneratedDocuments) {
   DtdStructure dtd = DiffDtd();
   ConstraintSet sigma = DiffSigma();
   ConstraintChecker fast(dtd, sigma);
-  ConstraintChecker naive(dtd, sigma, {.naive = true});
   size_t violating_docs = 0;
   for (uint32_t seed = 1; seed <= 25; ++seed) {
     // A 4-value pool over dozens of vertices guarantees key collisions
@@ -68,8 +68,9 @@ TEST(CheckerDiff, FastAndNaiveAgreeOnGeneratedDocuments) {
     Result<DataTree> tree = generator.Generate();
     ASSERT_TRUE(tree.ok()) << tree.status();
     ConstraintReport fast_report = fast.Check(tree.value());
-    ConstraintReport naive_report = naive.Check(tree.value());
-    EXPECT_EQ(Render(fast_report), Render(naive_report)) << "seed " << seed;
+    ConstraintReport reference_report =
+        fuzz::ReferenceCheck(dtd, sigma, tree.value());
+    EXPECT_EQ(Render(fast_report), Render(reference_report)) << "seed " << seed;
     if (!fast_report.ok()) ++violating_docs;
   }
   // The differential test is vacuous if no generated document violates.
@@ -77,8 +78,8 @@ TEST(CheckerDiff, FastAndNaiveAgreeOnGeneratedDocuments) {
 }
 
 TEST(CheckerDiff, TripleDuplicateKeyIsReportedOncePerExtraVertex) {
-  // Regression: the naive path used to report one violation per *pair*
-  // (3 for a triple), the indexed path one per extra occurrence (2).
+  // Regression: the nested-loop evaluation used to report one violation
+  // per *pair* (3 for a triple), the indexed one per extra occurrence (2).
   DtdStructure dtd = DiffDtd();
   ConstraintSet sigma = DiffSigma();
   DataTree tree;
@@ -91,11 +92,10 @@ TEST(CheckerDiff, TripleDuplicateKeyIsReportedOncePerExtraVertex) {
     tree.SetAttribute(entry, "isbn", "same");
   }
   ConstraintChecker fast(dtd, sigma);
-  ConstraintChecker naive(dtd, sigma, {.naive = true});
   ConstraintReport fast_report = fast.Check(tree);
-  ConstraintReport naive_report = naive.Check(tree);
+  ConstraintReport reference_report = fuzz::ReferenceCheck(dtd, sigma, tree);
   EXPECT_EQ(fast_report.violations.size(), 2u);
-  EXPECT_EQ(Render(fast_report), Render(naive_report));
+  EXPECT_EQ(Render(fast_report), Render(reference_report));
   // Both extra occurrences are reported against the first one.
   for (const ConstraintViolation& v : fast_report.violations) {
     ASSERT_EQ(v.witnesses.size(), 2u);

@@ -2,6 +2,7 @@
 
 #include "constraints/checker.h"
 #include "constraints/constraint_parser.h"
+#include "fuzzing/reference_checker.h"
 #include "xml/xml_parser.h"
 
 namespace xic {
@@ -68,7 +69,7 @@ TEST(Checker, DetectsDanglingSetReference) {
   EXPECT_NE(report.violations[0].message.find("ghost"), std::string::npos);
 }
 
-TEST(Checker, NaiveModeAgrees) {
+TEST(Checker, ReferenceEvaluatorAgrees) {
   Result<XmlDocument> good = Catalog(Book("a", "a") + Book("b", "a b"));
   Result<XmlDocument> bad = Catalog(Book("a", "z") + Book("a", "a"));
   ASSERT_TRUE(good.ok());
@@ -76,8 +77,8 @@ TEST(Checker, NaiveModeAgrees) {
   ConstraintSet sigma = BookSigma();
   for (const auto* doc : {&good.value(), &bad.value()}) {
     ConstraintChecker indexed(*doc->dtd, sigma);
-    ConstraintChecker naive(*doc->dtd, sigma, {.naive = true});
-    EXPECT_EQ(indexed.Check(doc->tree).ok(), naive.Check(doc->tree).ok());
+    EXPECT_EQ(indexed.Check(doc->tree).ok(),
+              fuzz::ReferenceCheck(*doc->dtd, sigma, doc->tree).ok());
   }
 }
 

@@ -17,6 +17,7 @@
 #include "fuzzing/generate.h"
 #include "fuzzing/oracles.h"
 #include "fuzzing/reducer.h"
+#include "fuzzing/reference_checker.h"
 #include "fuzzing/rng.h"
 #include "xml/dtd_parser.h"
 #include "xml/serializer.h"
@@ -261,13 +262,11 @@ TEST(ParityRegression, DeclaredUnsetAttributeDoesNotFallBackToSubElement) {
 
   // The declared attribute `k` is unset, so the field is *undefined* --
   // the batch checker must not read the unique sub-element instead.
-  for (bool naive : {false, true}) {
-    CheckOptions options;
-    options.naive = naive;
-    ConstraintChecker checker(dtd, sigma, options);
-    ConstraintReport report = checker.Check(tree);
+  ConstraintReport core = ConstraintChecker(dtd, sigma).Check(tree);
+  for (const ConstraintReport& report :
+       {core, fuzz::ReferenceCheck(dtd, sigma, tree)}) {
     ASSERT_TRUE(report.status.ok());
-    ASSERT_EQ(report.violations.size(), 1u) << "naive=" << naive;
+    ASSERT_EQ(report.violations.size(), 1u);
     EXPECT_NE(report.violations[0].message.find("key field missing"),
               std::string::npos);
   }

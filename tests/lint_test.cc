@@ -12,6 +12,7 @@
 #include "analysis/diagnostic.h"
 #include "analysis/rule.h"
 #include "constraints/constraint_parser.h"
+#include "util/json_writer.h"
 #include "xml/dtd_parser.h"
 
 namespace xic {
@@ -534,9 +535,9 @@ TEST(Lint, JsonGoldenSingleDiagnostic) {
 }
 
 TEST(Lint, JsonEscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(JsonEscape("say \"hi\"\n\tdone\\"),
+  EXPECT_EQ(util::JsonWriter::Escape("say \"hi\"\n\tdone\\"),
             "say \\\"hi\\\"\\n\\tdone\\\\");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(util::JsonWriter::Escape(std::string(1, '\x01')), "\\u0001");
 }
 
 // ---------------------------------------------------------------------------

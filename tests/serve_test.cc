@@ -864,7 +864,7 @@ TEST(DispatcherTest, FlightRecorderDisabledKeepsVerbsAlive) {
   DispatcherOptions options = FastOptions();
   options.flight_recorder.capacity = 0;
   Dispatcher dispatcher(options);
-  dispatcher.Handle(MakeRequest("ping", ""));
+  EXPECT_TRUE(dispatcher.Handle(MakeRequest("ping", "")).status.ok());
   Response debugz = dispatcher.Handle(MakeRequest("debugz", ""));
   ASSERT_TRUE(debugz.status.ok());
   EXPECT_EQ(debugz.body,
