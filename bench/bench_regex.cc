@@ -89,7 +89,7 @@ void BM_LanguageInclusion(benchmark::State& state) {
 }
 BENCHMARK(BM_LanguageInclusion)
     ->RangeMultiplier(2)
-    ->Range(4, 64)
+    ->Range(4, 1024)
     ->Complexity();
 
 }  // namespace

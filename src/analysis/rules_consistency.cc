@@ -316,10 +316,12 @@ class ConsistencyRule final : public LintRule {
   Status Run(const AnalysisInput& input,
              std::vector<Diagnostic>* out) const override {
     if (!CheckWellFormed(input.sigma, input.dtd).ok()) return Status::OK();
-    ExtentBounds bounds = ComputeExtentBounds(input.dtd);
-    if (!bounds.valid) return Status::OK();
+    // Edges first: the extent bounds cost O(symbols * model) per type
+    // and bound nothing without a tight edge.
     std::vector<TightEdge> edges = CollectTightEdges(input);
     if (edges.empty()) return Status::OK();
+    ExtentBounds bounds = ComputeExtentBounds(input.dtd);
+    if (!bounds.valid) return Status::OK();
 
     // eff[tau] = min over tight-reachable tau' of upper[tau'].
     std::map<std::string, uint64_t> eff = bounds.upper;

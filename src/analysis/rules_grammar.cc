@@ -162,18 +162,18 @@ class DeterminismRule final : public LintRule {
       XIC_RETURN_IF_ERROR(input.deadline.Check("determinism lint"));
       Result<RegexPtr> content = input.dtd.ContentModel(tau);
       if (!content.ok()) continue;
-      GlushkovAutomaton nfa(content.value());
       XIC_RETURN_IF_ERROR(CheckLimit(
-          nfa.num_positions(), input.limits.max_automaton_states,
-          "max_automaton_states",
+          GlushkovAutomaton::CountPositions(*content.value()),
+          input.limits.max_automaton_states, "max_automaton_states",
           "content model of " + tau + " has too many positions"));
+      GlushkovAutomaton nfa(content.value());
       std::optional<AmbiguityWitness> w = nfa.OneUnambiguityWitness();
       if (!w.has_value()) continue;
       std::string reason =
           w->via < 0
               ? "both can start a match"
               : "both can follow occurrence #" + std::to_string(w->via) +
-                    " (\"" + nfa.symbols()[w->via] + "\")";
+                    " (\"" + nfa.symbol(w->via) + "\")";
       Diagnostic d = GrammarDiag(
           kCodeAmbiguous, name(), DiagSeverity::kWarning, tau,
           "content model of \"" + tau + "\" is not 1-unambiguous: "

@@ -227,6 +227,11 @@ class BatchValidator {
   BatchReport Run(const std::vector<BatchDocument>& corpus,
                   const RunOverrides& overrides) const;
 
+  /// Bytes held by the compiled content-model automata.
+  size_t automaton_bytes() const {
+    return plan_.validator().automaton_bytes();
+  }
+
  private:
   DocumentOutcome CheckOne(const BatchDocument& doc,
                            const RunOverrides& overrides) const;

@@ -22,15 +22,16 @@ StructuralValidator::StructuralValidator(const DtdStructure& dtd,
     : dtd_(dtd), options_(options) {
   for (const std::string& element : dtd_.Elements()) {
     Result<RegexPtr> content = dtd_.ContentModel(element);
-    if (content.ok()) {
-      GlushkovAutomaton automaton(content.value());
-      if (status_.ok()) {
-        status_ = CheckLimit(automaton.num_positions(),
-                             options_.limits.max_automaton_states,
-                             "max_automaton_states",
-                             "content model of " + element);
-      }
-      automata_.emplace(element, std::move(automaton));
+    if (!content.ok()) continue;
+    // Count before building: nested '+' doubles the positions per level.
+    Status fits = CheckLimit(
+        GlushkovAutomaton::CountPositions(*content.value()),
+        options_.limits.max_automaton_states, "max_automaton_states",
+        "content model of " + element);
+    if (fits.ok()) {
+      automata_.emplace(element, GlushkovAutomaton(content.value()));
+    } else if (status_.ok()) {
+      status_ = std::move(fits);
     }
   }
   for (const std::string& element : dtd_.Elements()) {
@@ -95,6 +96,14 @@ std::optional<StructuralValidator::PlanView> StructuralValidator::PlanFor(
   auto it = plans_.find(element);
   if (it == plans_.end()) return std::nullopt;
   return PlanView{it->second.automaton};
+}
+
+size_t StructuralValidator::automaton_bytes() const {
+  size_t bytes = 0;
+  for (const auto& [element, automaton] : automata_) {
+    bytes += automaton.table_bytes();
+  }
+  return bytes;
 }
 
 bool StructuralValidator::AllContentModelsDeterministic() const {

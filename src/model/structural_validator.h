@@ -97,6 +97,9 @@ class StructuralValidator {
   };
   std::optional<PlanView> PlanFor(std::string_view element) const;
 
+  /// Bytes held by the compiled automata's tables.
+  size_t automaton_bytes() const;
+
  private:
   friend class StructureRun;
 

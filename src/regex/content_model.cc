@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <unordered_set>
 
 #include "util/limits.h"
 #include "util/strings.h"
@@ -77,23 +78,23 @@ bool Regex::Nullable() const {
 }
 
 std::set<std::string> Regex::Symbols() const {
+  // Iterative, each node once: a long sequence must not recurse per
+  // element, and Plus shares its operand, so a tree walk of nested '+'
+  // would visit it 2^depth times. Only a node with several owners can be
+  // reached twice, so only those are remembered.
   std::set<std::string> out;
-  switch (kind_) {
-    case RegexKind::kEpsilon:
-      break;
-    case RegexKind::kSymbol:
-      out.insert(symbol_);
-      break;
-    case RegexKind::kUnion:
-    case RegexKind::kConcat: {
-      out = left_->Symbols();
-      std::set<std::string> rhs = right_->Symbols();
-      out.insert(rhs.begin(), rhs.end());
-      break;
+  std::unordered_set<const Regex*> seen;
+  std::vector<const Regex*> todo{this};
+  while (!todo.empty()) {
+    const Regex* re = todo.back();
+    todo.pop_back();
+    if (re->kind_ == RegexKind::kSymbol) out.insert(re->symbol_);
+    for (const RegexPtr* child : {&re->left_, &re->right_}) {
+      if (*child != nullptr && (child->use_count() == 1 ||
+                                seen.insert(child->get()).second)) {
+        todo.push_back(child->get());
+      }
     }
-    case RegexKind::kStar:
-      out = left_->Symbols();
-      break;
   }
   return out;
 }

@@ -1,191 +1,211 @@
 #include "regex/glushkov.h"
 
-#include <bit>
+#include <algorithm>
+#include <climits>
+#include <numeric>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "obs/obs.h"
 
 namespace xic {
 
+namespace {
+
+// Calls leave(node) for every node of `re` after its operands, operands
+// left to right, skipping nodes (and their operands) for which
+// skip(node) holds. The stack is explicit: Regex::Sequence and
+// Regex::Choice build chains as long as the model.
+template <typename Skip, typename Leave>
+void PostOrder(const Regex& re, Skip skip, Leave leave) {
+  std::vector<std::pair<const Regex*, bool>> todo{{&re, false}};
+  while (!todo.empty()) {
+    auto [node, expanded] = todo.back();
+    if (skip(node)) {
+      todo.pop_back();
+    } else if (!expanded && node->left() != nullptr) {
+      todo.back().second = true;
+      if (node->right() != nullptr) {
+        todo.emplace_back(node->right().get(), false);
+      }
+      todo.emplace_back(node->left().get(), false);
+    } else {
+      todo.pop_back();
+      leave(*node);
+    }
+  }
+}
+
+}  // namespace
+
+size_t GlushkovAutomaton::CountPositions(const Regex& re) {
+  std::unordered_map<const Regex*, size_t> count{{nullptr, 0}};
+  PostOrder(
+      re, [&](const Regex* node) { return count.count(node) > 0; },
+      [&](const Regex& node) {
+        const size_t l = count.at(node.left().get());
+        const size_t r = count.at(node.right().get());
+        count[&node] = node.kind() == RegexKind::kSymbol ? 1
+                       : l > SIZE_MAX - r                ? SIZE_MAX
+                                                         : l + r;
+      });
+  return count.at(&re);
+}
+
 GlushkovAutomaton::GlushkovAutomaton(const RegexPtr& re) {
-  BuildResult root = Build(*re);
-  nullable_ = root.nullable;
-  first_ = std::move(root.first);
-  last_ = std::move(root.last);
-  BuildAlphabet();
+  const size_t n = CountPositions(*re);
+  if (n > static_cast<size_t>(INT_MAX)) {
+    throw std::length_error("content model has too many positions");
+  }
+  const size_t w = words_ = (n + 63) / 64;
+  rows_.assign((n + 2) * w, 0);
+  // Each finished subexpression leaves its nullability and its First and
+  // Last rows on a stack; an operator combines the top entries in place.
+  std::vector<bool> nullable;
+  std::vector<uint64_t> sets;  // per entry: First row, then Last row
+  std::vector<const std::string*> labels;  // position -> symbol
+  auto top = [&](size_t k) { return sets.data() + sets.size() - 2 * w * k; };
+  auto link = [&](const uint64_t* last, const uint64_t* first) {
+    for (size_t i = 0; i < w; ++i) {  // Follow(p) |= first, p in last
+      for (uint64_t bits = last[i]; bits != 0; bits &= bits - 1) {
+        const size_t p = i * 64 + std::countr_zero(bits);
+        for (size_t k = 0; k < w; ++k) rows_[(p + 1) * w + k] |= first[k];
+      }
+    }
+  };
+  PostOrder(
+      *re, [](const Regex*) { return false; },
+      [&](const Regex& node) {
+        const RegexKind kind = node.kind();
+        if (kind == RegexKind::kEpsilon || kind == RegexKind::kSymbol) {
+          sets.resize(sets.size() + 2 * w, 0);
+          nullable.push_back(kind == RegexKind::kEpsilon);
+          if (kind == RegexKind::kEpsilon) return;
+          const size_t pos = labels.size();
+          labels.push_back(&node.symbol());
+          top(1)[pos / 64] = top(1)[w + pos / 64] = uint64_t{1} << (pos % 64);
+          return;
+        }
+        if (kind == RegexKind::kStar) {
+          link(top(1) + w, top(1));
+          nullable.back() = true;
+          return;
+        }
+        uint64_t* l = top(2);
+        const uint64_t* r = top(1);
+        const bool l_nullable = nullable[nullable.size() - 2];
+        const bool r_nullable = nullable.back();
+        nullable.pop_back();
+        if (kind == RegexKind::kUnion) {
+          for (size_t k = 0; k < 2 * w; ++k) l[k] |= r[k];
+          nullable.back() = l_nullable || r_nullable;
+        } else {
+          link(l + w, r);
+          for (size_t k = 0; k < w; ++k) {
+            if (l_nullable) l[k] |= r[k];
+            l[w + k] = r[w + k] | (r_nullable ? l[w + k] : 0);
+          }
+          nullable.back() = l_nullable && r_nullable;
+        }
+        sets.resize(sets.size() - 2 * w);
+      });
+  nullable_ = nullable.back();
+  std::copy(sets.begin(), sets.begin() + w, rows_.begin());
+  std::copy(sets.begin() + w, sets.end(), rows_.end() - w);
+
+  // Alphabet ids in name order; positions grouped by id, ascending.
+  for (const std::string* label : labels) alphabet_index_.emplace(*label, 0);
+  for (auto& [symbol, id] : alphabet_index_) {
+    id = static_cast<int>(alphabet_.size());
+    alphabet_.push_back(symbol);
+  }
+  alpha_begin_.assign(alphabet_.size() + 1, 0);
+  for (const std::string* label : labels) {
+    pos_alpha_.push_back(alphabet_index_.find(*label)->second);
+    ++alpha_begin_[pos_alpha_.back() + 1];
+  }
+  std::partial_sum(alpha_begin_.begin(), alpha_begin_.end(),
+                   alpha_begin_.begin());
+  alpha_pos_.resize(n);
+  std::vector<int> fill = alpha_begin_;
+  for (size_t p = 0; p < n; ++p) {
+    alpha_pos_[fill[pos_alpha_[p]]++] = static_cast<int>(p);
+  }
+
   XIC_COUNTER_ADD("regex.glushkov.builds", 1);
-  XIC_COUNTER_ADD("regex.glushkov.states", symbols_.size());
-  XIC_COUNTER_MAX("regex.glushkov.max_states", symbols_.size());
-  XIC_HISTOGRAM_OBSERVE("regex.glushkov.states_per_build", symbols_.size(),
+  XIC_COUNTER_ADD("regex.glushkov.states", n);
+  XIC_COUNTER_MAX("regex.glushkov.max_states", n);
+  XIC_HISTOGRAM_OBSERVE("regex.glushkov.states_per_build", n,
                         {4.0, 16.0, 64.0, 256.0, 1024.0});
 }
 
-GlushkovAutomaton::BuildResult GlushkovAutomaton::Build(const Regex& re) {
-  switch (re.kind()) {
-    case RegexKind::kEpsilon: {
-      BuildResult out;
-      out.nullable = true;
-      return out;
-    }
-    case RegexKind::kSymbol: {
-      int pos = static_cast<int>(symbols_.size());
-      symbols_.push_back(re.symbol());
-      follow_.emplace_back();
-      BuildResult out;
-      out.nullable = false;
-      out.first = {pos};
-      out.last = {pos};
-      return out;
-    }
-    case RegexKind::kUnion: {
-      BuildResult l = Build(*re.left());
-      BuildResult r = Build(*re.right());
-      BuildResult out;
-      out.nullable = l.nullable || r.nullable;
-      out.first = std::move(l.first);
-      out.first.insert(r.first.begin(), r.first.end());
-      out.last = std::move(l.last);
-      out.last.insert(r.last.begin(), r.last.end());
-      return out;
-    }
-    case RegexKind::kConcat: {
-      BuildResult l = Build(*re.left());
-      BuildResult r = Build(*re.right());
-      for (int p : l.last) {
-        follow_[p].insert(r.first.begin(), r.first.end());
-      }
-      BuildResult out;
-      out.nullable = l.nullable && r.nullable;
-      out.first = l.first;
-      if (l.nullable) out.first.insert(r.first.begin(), r.first.end());
-      out.last = r.last;
-      if (r.nullable) out.last.insert(l.last.begin(), l.last.end());
-      return out;
-    }
-    case RegexKind::kStar: {
-      BuildResult in = Build(*re.inner());
-      for (int p : in.last) {
-        follow_[p].insert(in.first.begin(), in.first.end());
-      }
-      BuildResult out;
-      out.nullable = true;
-      out.first = std::move(in.first);
-      out.last = std::move(in.last);
-      return out;
-    }
-  }
-  return BuildResult{};
-}
-
-void GlushkovAutomaton::BuildAlphabet() {
-  pos_alpha_.resize(symbols_.size());
-  for (size_t p = 0; p < symbols_.size(); ++p) {
-    auto [it, inserted] =
-        alphabet_index_.emplace(symbols_[p], static_cast<int>(alphabet_.size()));
-    if (inserted) alphabet_.push_back(symbols_[p]);
-    pos_alpha_[p] = it->second;
-  }
-  use_masks_ = symbols_.size() <= 64;
-  if (!use_masks_) return;
-  alpha_masks_.assign(alphabet_.size(), 0);
-  for (size_t p = 0; p < symbols_.size(); ++p) {
-    alpha_masks_[pos_alpha_[p]] |= uint64_t{1} << p;
-  }
-  for (int p : first_) first_mask_ |= uint64_t{1} << p;
-  for (int p : last_) last_mask_ |= uint64_t{1} << p;
-  follow_masks_.assign(symbols_.size(), 0);
-  for (size_t p = 0; p < symbols_.size(); ++p) {
-    for (int q : follow_[p]) follow_masks_[p] |= uint64_t{1} << q;
-  }
-}
-
 bool GlushkovAutomaton::Matches(const std::vector<std::string>& word) const {
-  if (word.empty()) return nullable_;
   std::vector<int> ids;
-  ids.reserve(word.size());
   for (const std::string& label : word) ids.push_back(FindAlphabetId(label));
   return MatchesIds(ids.data(), ids.size());
 }
 
 bool GlushkovAutomaton::MatchesIds(const int* word, size_t len) const {
-  if (len == 0) return nullable_;
-  if (use_masks_) {
-    // Bitmask NFA simulation: `current` is the set of positions whose
-    // symbol matched the most recent input label.
-    uint64_t current =
-        word[0] < 0 ? 0 : first_mask_ & alpha_masks_[word[0]];
-    for (size_t i = 1; i < len; ++i) {
-      if (current == 0) return false;
-      if (word[i] < 0) return false;  // foreign symbol: no transition
-      uint64_t reachable = 0;
-      for (uint64_t bits = current; bits != 0; bits &= bits - 1) {
-        reachable |= follow_masks_[std::countr_zero(bits)];
+  // The run state: the ascending positions that consumed the latest
+  // label (kStart before the first), in two alternating buffers. They
+  // start inline; a 1-unambiguous model never outgrows them (its state
+  // is at most one position), so such a run allocates nothing.
+  constexpr size_t kInline = 8;
+  int inline_states[2][kInline] = {};
+  std::vector<int> heap;
+  int* current = inline_states[0];
+  int* next = inline_states[1];
+  size_t current_size = 1;
+  size_t capacity = kInline;
+  current[0] = kStart;
+  for (size_t i = 0; i < len; ++i) {
+    if (word[i] < 0) return false;  // foreign symbol: no transition
+    size_t next_size = 0;
+    for (int q : Positions(word[i])) {
+      for (size_t k = 0; k < current_size; ++k) {
+        if (!Follows(current[k], q)) continue;
+        if (next_size == capacity) {  // both buffers double, on the heap
+          std::vector<int> grown(4 * capacity);
+          std::copy(current, current + current_size, grown.begin());
+          std::copy(next, next + next_size, grown.begin() + 2 * capacity);
+          heap.swap(grown);
+          current = heap.data();
+          next = current + 2 * capacity;
+          capacity *= 2;
+        }
+        next[next_size++] = q;
+        break;
       }
-      current = reachable & alpha_masks_[word[i]];
     }
-    return (current & last_mask_) != 0;
+    if (next_size == 0) return false;
+    std::swap(current, next);
+    current_size = next_size;
   }
-  // Set-based fallback for huge expressions (> 64 positions); still
-  // integer compares via pos_alpha_, never strings.
-  std::set<int> current;
-  for (int p : first_) {
-    if (pos_alpha_[p] == word[0]) current.insert(p);
-  }
-  for (size_t i = 1; i < len; ++i) {
-    if (current.empty()) return false;
-    std::set<int> next;
-    for (int p : current) {
-      for (int q : follow_[p]) {
-        if (pos_alpha_[q] == word[i]) next.insert(q);
-      }
-    }
-    current = std::move(next);
-  }
-  for (int p : current) {
-    if (last_.count(p) > 0) return true;
-  }
-  return false;
-}
-
-namespace {
-
-// The lowest-numbered pair of distinct positions in `set` carrying the
-// same symbol, if any.
-std::optional<std::pair<int, int>> FindSymbolClash(
-    const std::set<int>& set, const std::vector<std::string>& symbols) {
-  std::map<std::string, int> seen;
-  for (int p : set) {
-    auto [it, inserted] = seen.emplace(symbols[p], p);
-    if (!inserted) return std::make_pair(it->second, p);
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool GlushkovAutomaton::IsOneUnambiguous() const {
-  return !OneUnambiguityWitness().has_value();
+  return std::any_of(current, current + current_size,
+                     [this](int p) { return Final(p); });
 }
 
 std::optional<AmbiguityWitness> GlushkovAutomaton::OneUnambiguityWitness()
     const {
-  auto witness = [this](const std::pair<int, int>& clash, int via) {
-    AmbiguityWitness w;
-    w.symbol = symbols_[clash.first];
-    w.pos1 = clash.first;
-    w.pos2 = clash.second;
-    w.via = via;
-    return w;
-  };
-  if (auto clash = FindSymbolClash(first_, symbols_); clash.has_value()) {
-    return witness(*clash, -1);
+  // Scan First, then Follow(0..n-1), each row ascending. seen[a] is the
+  // lowest position with alphabet id a in the row named by stamp[a].
+  std::vector<int> seen(alphabet_.size());
+  std::vector<int> stamp(alphabet_.size(), kStart - 1);
+  std::optional<AmbiguityWitness> witness;
+  for (int via = kStart;
+       via < static_cast<int>(num_positions()) && !witness.has_value();
+       ++via) {
+    ForEachSuccessor(via, [&](int q) {
+      const int a = pos_alpha_[q];
+      if (witness.has_value() || stamp[a] != via) {
+        stamp[a] = via;
+        seen[a] = q;
+      } else {
+        witness = AmbiguityWitness{alphabet_[a], seen[a], q, via};
+      }
+    });
   }
-  for (size_t p = 0; p < follow_.size(); ++p) {
-    if (auto clash = FindSymbolClash(follow_[p], symbols_);
-        clash.has_value()) {
-      return witness(*clash, static_cast<int>(p));
-    }
-  }
-  return std::nullopt;
+  return witness;
 }
 
 }  // namespace xic

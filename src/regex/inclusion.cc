@@ -1,58 +1,17 @@
 #include "regex/inclusion.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
-#include <string>
+#include <span>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
 #include "regex/glushkov.h"
 
 namespace xic {
-
-namespace {
-
-// NFA states: -1 is the virtual start state, >= 0 are Glushkov positions.
-constexpr int kStart = -1;
-
-bool Accepting(const GlushkovAutomaton& nfa, int state) {
-  if (state == kStart) return nfa.nullable();
-  return nfa.last().count(state) > 0;
-}
-
-bool AnyAccepting(const GlushkovAutomaton& nfa, const std::set<int>& states) {
-  for (int s : states) {
-    if (Accepting(nfa, s)) return true;
-  }
-  return false;
-}
-
-// States reachable from `state` on `symbol`.
-std::set<int> Move(const GlushkovAutomaton& nfa, int state,
-                   const std::string& symbol) {
-  const std::set<int>& candidates =
-      state == kStart ? nfa.first()
-                      : nfa.follow()[static_cast<size_t>(state)];
-  std::set<int> out;
-  for (int q : candidates) {
-    if (nfa.symbols()[static_cast<size_t>(q)] == symbol) out.insert(q);
-  }
-  return out;
-}
-
-std::set<int> MoveSet(const GlushkovAutomaton& nfa,
-                      const std::set<int>& states,
-                      const std::string& symbol) {
-  std::set<int> out;
-  for (int s : states) {
-    std::set<int> step = Move(nfa, s, symbol);
-    out.insert(step.begin(), step.end());
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<bool> RegexLanguageIncludedBounded(const RegexPtr& a,
                                           const RegexPtr& b,
@@ -62,19 +21,25 @@ Result<bool> RegexLanguageIncludedBounded(const RegexPtr& a,
   XIC_COUNTER_ADD("regex.inclusion.checks", 1);
   GlushkovAutomaton nfa_a(a);
   GlushkovAutomaton nfa_b(b);
-  // Product search over (a-state, determinized b-set): a counterexample
-  // word exists iff some reachable pair is (accepting in a, rejecting set
-  // in b).
-  using ProductState = std::pair<int, std::set<int>>;
-  std::set<ProductState> visited;
-  std::deque<ProductState> queue;
-  ProductState start{kStart, {kStart}};
-  visited.insert(start);
-  queue.push_back(start);
+  // Product search over (a-state, determinized b-set), breadth first: a
+  // counterexample word exists iff some reachable pair is (accepting in
+  // a, rejecting set in b). A b-set is an ascending list of b-states;
+  // seen[set] holds the a-states already queued with it.
+  std::map<std::vector<int>, std::unordered_set<int>> seen;
+  std::deque<std::pair<int, const std::vector<int>*>> queue;
+  size_t visited = 0;
+  auto visit = [&](int pa, std::vector<int> set_b) {
+    auto it = seen.try_emplace(std::move(set_b)).first;
+    if (!it->second.insert(pa).second) return;
+    ++visited;
+    queue.emplace_back(pa, &it->first);
+  };
+  visit(GlushkovAutomaton::kStart, {GlushkovAutomaton::kStart});
   size_t expanded = 0;
-  while (!queue.empty()) {
-    XIC_RETURN_IF_ERROR(CheckLimit(visited.size(),
-                                   bounds.max_product_states,
+  bool included = true;
+  std::vector<std::pair<int, int>> moves;  // (a's alphabet id, a-position)
+  while (included && !queue.empty()) {
+    XIC_RETURN_IF_ERROR(CheckLimit(visited, bounds.max_product_states,
                                    "max_automaton_states",
                                    "inclusion product states"));
     if ((++expanded & 0xFF) == 0) {
@@ -82,30 +47,35 @@ Result<bool> RegexLanguageIncludedBounded(const RegexPtr& a,
     }
     auto [pa, set_b] = queue.front();
     queue.pop_front();
-    if (Accepting(nfa_a, pa) && !AnyAccepting(nfa_b, set_b)) {
-      XIC_COUNTER_ADD("regex.inclusion.product_states", visited.size());
-      span.AddInt("product_states", static_cast<int64_t>(visited.size()));
-      return false;
-    }
-    // Outgoing symbols from pa.
-    const std::set<int>& candidates =
-        pa == kStart ? nfa_a.first()
-                     : nfa_a.follow()[static_cast<size_t>(pa)];
-    std::set<std::string> symbols;
-    for (int q : candidates) {
-      symbols.insert(nfa_a.symbols()[static_cast<size_t>(q)]);
-    }
-    for (const std::string& symbol : symbols) {
-      std::set<int> next_b = MoveSet(nfa_b, set_b, symbol);
-      for (int qa : Move(nfa_a, pa, symbol)) {
-        ProductState next{qa, next_b};
-        if (visited.insert(next).second) queue.push_back(next);
+    auto any_b = [set_b](auto pred) {
+      return std::any_of(set_b->begin(), set_b->end(), pred);
+    };
+    included = !nfa_a.Final(pa) ||
+               any_b([&](int p) { return nfa_b.Final(p); });
+    // pa's successors: alphabet ids follow name order, so sorting visits
+    // symbols by name and each symbol's positions ascending.
+    moves.clear();
+    nfa_a.ForEachSuccessor(
+        pa, [&](int q) { moves.emplace_back(nfa_a.alphabet_id(q), q); });
+    std::sort(moves.begin(), moves.end());
+    for (size_t i = 0; included && i < moves.size();) {
+      const int alpha = nfa_b.FindAlphabetId(nfa_a.symbol(moves[i].second));
+      std::vector<int> next_b;
+      for (int q : alpha < 0 ? std::span<const int>()
+                             : nfa_b.Positions(alpha)) {
+        if (any_b([&](int p) { return nfa_b.Follows(p, q); })) {
+          next_b.push_back(q);
+        }
+      }
+      for (const int symbol = moves[i].first;
+           i < moves.size() && moves[i].first == symbol; ++i) {
+        visit(moves[i].second, next_b);
       }
     }
   }
-  XIC_COUNTER_ADD("regex.inclusion.product_states", visited.size());
-  span.AddInt("product_states", static_cast<int64_t>(visited.size()));
-  return true;
+  XIC_COUNTER_ADD("regex.inclusion.product_states", visited);
+  span.AddInt("product_states", static_cast<int64_t>(visited));
+  return included;
 }
 
 Result<bool> RegexLanguageEquivalentBounded(const RegexPtr& a,

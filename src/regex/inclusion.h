@@ -5,9 +5,9 @@
 // the element-name alphabet. Decided by the classical product
 // construction: simulate the Glushkov NFA of `a` against the on-the-fly
 // determinization of `b`'s Glushkov NFA and look for a reachable pair
-// (accepting-in-a, non-accepting-in-b). Exponential in |b| in the worst
-// case (content models are tiny in practice; 1-unambiguous ones
-// determinize without blow-up).
+// (accepting-in-a, non-accepting-in-b), reading both automata's position
+// rows (glushkov.h). Exponential in |b| in the worst case; a
+// 1-unambiguous b keeps every b-set to at most one position.
 
 #ifndef XIC_REGEX_INCLUSION_H_
 #define XIC_REGEX_INCLUSION_H_

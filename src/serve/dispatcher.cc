@@ -281,9 +281,11 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
             options_.stream_spill_budget_bytes;
         plan->validator = std::make_unique<BatchValidator>(
             plan->dtd, plan->sigma, batch_options);
-        // Footprint estimate: automata and plan indexes scale with the
-        // declaration text; the constant covers fixed per-plan overhead.
-        plan->bytes = 4096 + shell.value().subset.size() * 16;
+        // Footprint estimate: the automata report their table bytes;
+        // the DTD and constraint plan scale with the declaration text;
+        // the constant covers fixed per-plan overhead.
+        plan->bytes = 4096 + shell.value().subset.size() * 16 +
+                      plan->validator->automaton_bytes();
         return PlanPtr(std::move(plan));
       },
       cache_hit);

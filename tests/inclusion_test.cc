@@ -27,6 +27,32 @@ TEST(Inclusion, BasicCases) {
   EXPECT_FALSE(RegexLanguageIncluded(R("(a)"), R("(b)")));
 }
 
+TEST(Inclusion, WideModelPastTwoWords) {
+  // B7's wide model (a0, a1*, ..., a99*) at 100 positions against its
+  // all-starred widening.
+  std::vector<RegexPtr> narrow_parts;
+  std::vector<RegexPtr> wide_parts;
+  for (int i = 0; i < 100; ++i) {
+    RegexPtr symbol = Regex::Symbol("a" + std::to_string(i));
+    narrow_parts.push_back(i == 0 ? symbol : Regex::Star(symbol));
+    wide_parts.push_back(Regex::Star(symbol));
+  }
+  RegexPtr narrow = Regex::Sequence(std::move(narrow_parts));
+  RegexPtr wide = Regex::Sequence(std::move(wide_parts));
+  EXPECT_EQ(CompareContentModels(narrow, wide),
+            ModelCompatibility::kWidening);
+}
+
+TEST(Inclusion, NondeterministicPairs) {
+  // Both sides 1-ambiguous: b's sets hold several positions at once.
+  EXPECT_EQ(CompareContentModels(R("((a | b)*, a, (a | b))"),
+                                 R("((a | b)*, a, (a | b)*)")),
+            ModelCompatibility::kWidening);
+  EXPECT_EQ(CompareContentModels(R("((a, b) | (a, c))*"),
+                                 R("(a, (b | c))*")),
+            ModelCompatibility::kEquivalent);
+}
+
 TEST(Inclusion, ClassicEquivalences) {
   // (a | b)* == (a*, b*)*.
   EXPECT_TRUE(RegexLanguageEquivalent(R("((a | b)*)"), R("((a*, b*)*)")));

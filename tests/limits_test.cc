@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.h"
 #include "constraints/constraint.h"
 #include "implication/l_general_solver.h"
 #include "implication/lp_solver.h"
@@ -241,6 +242,30 @@ TEST(ValidatorLimits, AutomatonStatesBoundary) {
   ValidationReport report = capped.Validate(tree);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status.limit(), "max_automaton_states");
+}
+
+TEST(ValidatorLimits, NestedPlusIsCountedBeforeItIsBuilt) {
+  // a+ is (a, a*) over one shared operand, so 40 nested '+' name 2^40
+  // positions in a ~120-byte model. Both compilers count first and
+  // return the limit without building.
+  std::string model = "a";
+  for (int i = 0; i < 40; ++i) model = "(" + model + ")+";
+  DtdStructure dtd;
+  ASSERT_TRUE(dtd.AddElement("r", "(" + model + ")").ok());
+  ASSERT_TRUE(dtd.AddElement("a", "EMPTY").ok());
+  ASSERT_TRUE(dtd.SetRoot("r").ok());
+
+  StructuralValidator validator(dtd);
+  EXPECT_EQ(validator.status().limit(), "max_automaton_states");
+  EXPECT_EQ(validator.status().ToString(),
+            "ResourceExhausted: max_automaton_states: content model of r "
+            "(1099511627776 exceeds limit 65536)");
+
+  AnalysisReport report = Analyzer().Analyze(dtd, ConstraintSet{});
+  EXPECT_EQ(report.status.limit(), "max_automaton_states");
+  EXPECT_EQ(report.status.ToString(),
+            "ResourceExhausted: max_automaton_states: content model of r "
+            "has too many positions (1099511627776 exceeds limit 65536)");
 }
 
 TEST(InclusionLimits, ProductStateCap) {

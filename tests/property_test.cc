@@ -104,6 +104,47 @@ TEST_P(GlushkovProperty, AgreesWithNaiveMatcher) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GlushkovProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+// The same comparison past one and two 64-position words: the model
+// follows 70 or 140 optional fillers, so its positions, its First and
+// Last rows and the fillers' Follow rows cross word boundaries.
+class GlushkovPaddedProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(GlushkovPaddedProperty, AgreesWithNaiveMatcher) {
+  for (int pad : {70, 140}) {
+    std::mt19937 rng(static_cast<unsigned>(GetParam()));
+    const std::string first = "f0";
+    const std::string last = "f" + std::to_string(pad - 1);
+    for (int trial = 0; trial < 10; ++trial) {
+      RegexPtr re = RandomRegex(rng, 3);
+      // Right-nested, so NaiveMatch peels one filler per level.
+      for (int i = pad - 1; i >= 0; --i) {
+        re = Regex::Concat(
+            Regex::Optional(Regex::Symbol("f" + std::to_string(i))), re);
+      }
+      GlushkovAutomaton nfa(re);
+      for (int len = 0; len <= 4; ++len) {
+        for (int mask = 0; mask < (1 << len); ++mask) {
+          for (const std::vector<std::string>& prefix :
+               {std::vector<std::string>{}, std::vector<std::string>{last},
+                std::vector<std::string>{first, last},
+                std::vector<std::string>{last, first}}) {
+            std::vector<std::string> word = prefix;
+            for (int i = 0; i < len; ++i) {
+              word.push_back((mask >> i) & 1 ? "b" : "a");
+            }
+            EXPECT_EQ(nfa.Matches(word),
+                      NaiveMatch(*re, word, 0, word.size()))
+                << "pad " << pad << ": " << re->ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GlushkovPaddedProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
 // ---------------------------------------------------------------------------
 // LuSolver vs exhaustive search.
 // ---------------------------------------------------------------------------

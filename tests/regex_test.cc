@@ -1,4 +1,11 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "regex/content_model.h"
 #include "regex/glushkov.h"
@@ -182,6 +189,123 @@ TEST(Glushkov, EmptyContentModel) {
 TEST(Glushkov, PositionCount) {
   EXPECT_EQ(GlushkovAutomaton(MustParse("(a, b, a)")).num_positions(), 3u);
   EXPECT_EQ(GlushkovAutomaton(Regex::Epsilon()).num_positions(), 0u);
+}
+
+// "f0?, f1?, ..., f<k-1>?, " (or without the '?').
+std::string Fillers(int k, const char* suffix) {
+  std::string out;
+  for (int i = 0; i < k; ++i) out += "f" + std::to_string(i) + suffix + ", ";
+  return out;
+}
+
+TEST(Glushkov, WitnessesPastTheFirstWords) {
+  // Goldens recorded from the former std::set implementation: the lint
+  // text (XIC103) quotes these positions.
+  auto witness = [](const std::string& model) {
+    std::optional<AmbiguityWitness> w =
+        GlushkovAutomaton(MustParse(model)).OneUnambiguityWitness();
+    EXPECT_TRUE(w.has_value()) << model;
+    return w.value_or(AmbiguityWitness{});
+  };
+  // A clash in First, behind 70 optional fillers.
+  AmbiguityWitness first =
+      witness("(" + Fillers(70, "?") + "((a, b) | (a, c)))");
+  EXPECT_EQ(first.symbol, "a");
+  EXPECT_EQ(first.pos1, 70);
+  EXPECT_EQ(first.pos2, 72);
+  EXPECT_EQ(first.via, -1);
+  // A clash in Follow(69): both b's follow the last filler.
+  AmbiguityWitness follow =
+      witness("(" + Fillers(70, "") + "((b, c) | (b, d)))");
+  EXPECT_EQ(follow.symbol, "b");
+  EXPECT_EQ(follow.pos1, 70);
+  EXPECT_EQ(follow.pos2, 72);
+  EXPECT_EQ(follow.via, 69);
+  // Past position 128: Follow(139) holds both x's.
+  AmbiguityWitness third = witness("(" + Fillers(140, "") + "(x*, x))");
+  EXPECT_EQ(third.symbol, "x");
+  EXPECT_EQ(third.pos1, 140);
+  EXPECT_EQ(third.pos2, 141);
+  EXPECT_EQ(third.via, 139);
+  // Deterministic despite 133 positions.
+  EXPECT_TRUE(GlushkovAutomaton(MustParse("(" + Fillers(130, "?") +
+                                          "a*, b, a)"))
+                  .IsOneUnambiguous());
+}
+
+TEST(Glushkov, WideRunStatesOfAmbiguousModels) {
+  // After an 'a', all 20 a-positions are live: the run state outgrows
+  // its inline buffers.
+  std::string twenty = "a";
+  for (int i = 1; i < 20; ++i) twenty += " | a";
+  GlushkovAutomaton star(MustParse("((" + twenty + "), b)*"));
+  EXPECT_FALSE(star.IsOneUnambiguous());
+  EXPECT_TRUE(star.Matches(Word({"a", "b", "a", "b"})));
+  EXPECT_FALSE(star.Matches(Word({"a", "a"})));
+  EXPECT_FALSE(star.Matches(Word({"a", "b", "a"})));
+  GlushkovAutomaton loop(MustParse("((" + twenty + ")*, b)"));
+  EXPECT_TRUE(loop.Matches(Word({"a", "a", "a", "b"})));
+  EXPECT_FALSE(loop.Matches(Word({"a", "a", "a"})));
+}
+
+TEST(Glushkov, CountPositionsCountsSharedOperandsOnce) {
+  EXPECT_EQ(GlushkovAutomaton::CountPositions(*MustParse("(a, b, a)")), 3u);
+  EXPECT_EQ(GlushkovAutomaton::CountPositions(*MustParse("EMPTY")), 0u);
+  // a+ is (a, a*) over one shared operand: each level doubles the
+  // positions, yet the count visits each node once.
+  RegexPtr re = Regex::Symbol("a");
+  for (int i = 0; i < 10; ++i) re = Regex::Plus(re);
+  EXPECT_EQ(GlushkovAutomaton::CountPositions(*re), 1024u);
+  EXPECT_EQ(GlushkovAutomaton(re).num_positions(), 1024u);
+  for (int i = 10; i < 40; ++i) re = Regex::Plus(re);
+  EXPECT_EQ(GlushkovAutomaton::CountPositions(*re), uint64_t{1} << 40);
+  for (int i = 40; i < 80; ++i) re = Regex::Plus(re);
+  EXPECT_EQ(GlushkovAutomaton::CountPositions(*re), SIZE_MAX);
+}
+
+// Runs `body` on a thread with a 256 KiB stack.
+void OnSmallStack(std::function<void()> body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 << 10), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  (*static_cast<std::function<void()>*>(arg))();
+                  return nullptr;
+                },
+                &body),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(Glushkov, LongSequenceAndChoiceBuildOnASmallStack) {
+  // Sequence and Choice build left-deep chains; the build must not
+  // recurse along them. The expressions are made and destroyed on this
+  // thread; only the automata live on the small stack.
+  std::vector<RegexPtr> names;
+  std::vector<std::string> word;
+  for (int i = 0; i < 4096; ++i) {
+    word.push_back("e" + std::to_string(i));
+    names.push_back(Regex::Symbol(word.back()));
+  }
+  RegexPtr sequence = Regex::Sequence(names);
+  RegexPtr choice = Regex::Choice(names);
+  std::vector<bool> got;
+  OnSmallStack([&] {
+    GlushkovAutomaton seq(sequence);
+    got.push_back(seq.num_positions() == 4096);
+    got.push_back(seq.IsOneUnambiguous());
+    got.push_back(seq.Matches(word));
+    got.push_back(!seq.Matches({word.begin(), word.end() - 1}));
+    GlushkovAutomaton alt(choice);
+    got.push_back(alt.IsOneUnambiguous());
+    got.push_back(alt.Matches({word.back()}));
+    got.push_back(!alt.Matches({word[0], word[1]}));
+  });
+  EXPECT_EQ(got, std::vector<bool>(7, true));
 }
 
 TEST(RegexBuilders, SequenceAndChoice) {

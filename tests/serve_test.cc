@@ -451,6 +451,28 @@ TEST(DispatcherTest, ValidateStreamMatchesValidateByteForByte) {
   EXPECT_EQ(hit.headers.at("cache"), "hit");
 }
 
+TEST(DispatcherTest, PlanChargeIncludesAutomatonRows) {
+  // A star-union of n names has n^2 follow edges: its automaton holds
+  // (n + 2) rows of ceil(n / 64) words, far more than the declaration
+  // text suggests.
+  const size_t n = 4000;
+  std::string names;
+  std::string decls;
+  for (size_t i = 0; i < n; ++i) {
+    names += (i == 0 ? "" : " | ") + ("n" + std::to_string(i));
+    decls += "<!ELEMENT n" + std::to_string(i) + " EMPTY>\n";
+  }
+  const std::string subset =
+      "\n<!ELEMENT r (" + names + ")*>\n" + decls;
+  Dispatcher dispatcher(FastOptions());
+  Response put = dispatcher.Handle(
+      MakeRequest("schema.put", "<!DOCTYPE r [" + subset + "]><r/>"));
+  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+  const size_t rows = n * ((n + 63) / 64) * 8;
+  EXPECT_GE(dispatcher.cache().bytes(), rows);
+  EXPECT_GE(dispatcher.cache().bytes(), 4096 + 16 * subset.size() + rows);
+}
+
 TEST(DispatcherTest, SchemaHeaderSkipsDoctypeRequirement) {
   Dispatcher dispatcher(FastOptions());
   Response put = dispatcher.Handle(MakeRequest("schema.put", kSchema));
