@@ -89,21 +89,20 @@ class ReachabilityRule final : public LintRule {
 
 // Is some word of L(re) derivable using only productive symbols?
 bool RegexProductive(const Regex& re, const std::set<std::string>& ok) {
-  switch (re.kind()) {
-    case RegexKind::kEpsilon:
-      return true;
-    case RegexKind::kSymbol:
-      return re.symbol() == kStringSymbol || ok.count(re.symbol()) > 0;
-    case RegexKind::kUnion:
-      return RegexProductive(*re.left(), ok) ||
-             RegexProductive(*re.right(), ok);
-    case RegexKind::kConcat:
-      return RegexProductive(*re.left(), ok) &&
-             RegexProductive(*re.right(), ok);
-    case RegexKind::kStar:
-      return true;  // zero repetitions always derive epsilon
-  }
-  return false;
+  return Fold<bool>(re, [&](const Regex& node, bool l, bool r) {
+    switch (node.kind()) {
+      case RegexKind::kSymbol:
+        return node.symbol() == kStringSymbol || ok.count(node.symbol()) > 0;
+      case RegexKind::kUnion:
+        return l || r;
+      case RegexKind::kConcat:
+        return l && r;
+      case RegexKind::kEpsilon:
+      case RegexKind::kStar:  // zero repetitions always derive epsilon
+        break;
+    }
+    return true;
+  });
 }
 
 class ProductivityRule final : public LintRule {

@@ -132,9 +132,8 @@ Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
                                                 const std::string& name) const {
   if (tree.HasAttribute(v, name)) return tree.Attribute(v, name);
   // A name in Att(tau) always denotes the attribute: an unset declared
-  // attribute is a missing field, never a sub-element fallback (keeps the
-  // batch checker in agreement with IncrementalChecker, which only ever
-  // reads attributes).
+  // attribute is a missing field, never a sub-element fallback (the rule
+  // ResolveTreeFields applies for the core).
   if (dtd_.HasAttribute(tree.label(v), name)) {
     return Status::InvalidArgument("field " + name + " undefined on vertex " +
                                    std::to_string(v) +
@@ -146,6 +145,95 @@ Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
   return Status::InvalidArgument(
       "field " + name + " undefined on vertex " + std::to_string(v) +
       (count > 1 ? " (sub-element not unique)" : ""));
+}
+
+void ConstraintChecker::ResolveTreeFields(const DataTree& tree, VertexId v,
+                                          const TypePlan& plan,
+                                          const std::vector<Symbol>& syms,
+                                          std::vector<Field>* fields,
+                                          std::vector<std::string>* texts) {
+  const size_t n = syms.size();
+  fields->assign(n, Field{});
+  if (texts->size() < n) texts->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Symbol sym = syms[i];
+    Field& f = (*fields)[i];
+    if (const AttrValue* value =
+            sym == kInvalidSymbol ? nullptr : tree.FindAttr(v, sym)) {
+      f.kind = Field::kSet;
+      f.set = value;
+    } else if (!plan.field_declared[i] &&
+               SubElementText(tree, v, sym, &(*texts)[i]) == 1) {
+      f.kind = Field::kText;
+      f.text = (*texts)[i];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RoleReader: resolved fields -> what one role reads.
+
+std::optional<std::string_view> ConstraintChecker::RoleReader::Single(
+    const Field& f) {
+  ++steps_;
+  switch (f.kind) {
+    case Field::kSet:
+      if (f.set->size() != 1) return std::nullopt;
+      return std::string_view(*f.set->begin());
+    case Field::kText:
+      return f.text;
+    case Field::kMissing:
+      break;
+  }
+  return std::nullopt;
+}
+
+bool ConstraintChecker::RoleReader::SetOf(const Field& f) {
+  values_.clear();
+  switch (f.kind) {
+    case Field::kSet:
+      for (const std::string& v : *f.set) values_.push_back(v);
+      return true;
+    case Field::kText:
+      values_.push_back(f.text);
+      return true;
+    case Field::kMissing:
+      break;
+  }
+  return false;
+}
+
+bool ConstraintChecker::RoleReader::Read(const Role& role,
+                                         const std::vector<Field>& fields) {
+  switch (role.kind) {
+    case Role::kKeyTuple:
+    case Role::kFkTuple:
+    case Role::kFkTarget:
+      values_.clear();
+      for (size_t f : role.fields) {
+        std::optional<std::string_view> v = Single(fields[f]);
+        if (!v.has_value()) return false;
+        values_.push_back(*v);
+      }
+      EncodeTupleInto(values_, &encoded_);
+      values_.assign(1, encoded_);
+      return true;
+    case Role::kSfkSource:
+      return SetOf(fields[role.fields[0]]);
+    case Role::kSfkTarget:
+    case Role::kIdExt:
+    case Role::kGlobalId: {
+      values_.clear();
+      std::optional<std::string_view> v = Single(fields[role.fields[0]]);
+      if (v.has_value()) values_.push_back(*v);
+      return v.has_value();
+    }
+    case Role::kInvExt:
+    case Role::kInvRef:
+      break;
+  }
+  values_.clear();
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +252,7 @@ ConstraintReport ConstraintChecker::Check(const DataTree& tree,
     std::vector<Symbol> field_syms;
   };
   std::vector<Label> labels(type_plans_.empty() ? 0 : tree.symbols().size());
-  std::vector<ConstraintRun::Field> fields;
+  std::vector<Field> fields;
   std::vector<std::string> texts;  // sub-element field values
   Status status = Status::OK();
   for (VertexId v = 0; v < tree.size() && !labels.empty(); ++v) {
@@ -183,22 +271,8 @@ ConstraintReport ConstraintChecker::Check(const DataTree& tree,
       }
     }
     if (label.plan == nullptr) continue;
-    const size_t n = label.field_syms.size();
-    fields.assign(n, ConstraintRun::Field{});
-    if (texts.size() < n) texts.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Symbol sym = label.field_syms[i];
-      ConstraintRun::Field& f = fields[i];
-      if (const AttrValue* value =
-              sym == kInvalidSymbol ? nullptr : tree.FindAttr(v, sym)) {
-        f.kind = ConstraintRun::Field::kSet;
-        f.set = value;
-      } else if (!label.plan->field_declared[i] &&
-                 SubElementText(tree, v, sym, &texts[i]) == 1) {
-        f.kind = ConstraintRun::Field::kText;
-        f.text = texts[i];
-      }
-    }
+    ResolveTreeFields(tree, v, *label.plan, label.field_syms, &fields,
+                      &texts);
     run.AddVertex(v, *label.plan, fields);
   }
   // A walk cut short has incomplete logs: report no verdict, only why.
@@ -230,46 +304,6 @@ ConstraintRun::ConstraintRun(const ConstraintChecker& checker,
   if (checker_.needs_global_ids_) global_ids_.emplace(&budget_);
 }
 
-std::optional<std::string_view> ConstraintRun::Single(const Field& f) {
-  ++steps_;
-  switch (f.kind) {
-    case Field::kSet:
-      if (f.set->size() != 1) return std::nullopt;
-      return std::string_view(*f.set->begin());
-    case Field::kText:
-      return f.text;
-    case Field::kMissing:
-      break;
-  }
-  return std::nullopt;
-}
-
-bool ConstraintRun::SetOf(const Field& f) {
-  view_scratch_.clear();
-  switch (f.kind) {
-    case Field::kSet:
-      for (const std::string& v : *f.set) view_scratch_.push_back(v);
-      return true;
-    case Field::kText:
-      view_scratch_.push_back(f.text);
-      return true;
-    case Field::kMissing:
-      break;
-  }
-  return false;
-}
-
-bool ConstraintRun::TupleOf(const std::vector<Field>& fields,
-                            const std::vector<size_t>& which) {
-  view_scratch_.clear();
-  for (size_t f : which) {
-    std::optional<std::string_view> v = Single(fields[f]);
-    if (!v.has_value()) return false;
-    view_scratch_.push_back(*v);
-  }
-  return true;
-}
-
 void ConstraintRun::Append(std::optional<TupleLog>* log, uint32_t seq,
                            uint32_t rank, std::string_view payload) {
   if (!spill_error_.ok()) return;
@@ -289,87 +323,53 @@ size_t ConstraintRun::extent_records() const {
   return n;
 }
 
-void ConstraintRun::AddVertex(uint32_t seq,
-                              const ConstraintChecker::TypePlan& plan,
-                              const std::vector<Field>& fields) {
+void ConstraintRun::AddVertex(
+    uint32_t seq, const ConstraintChecker::TypePlan& plan,
+    const std::vector<ConstraintChecker::Field>& fields) {
   using Role = ConstraintChecker::Role;
   for (const Role& role : plan.roles) {
-    if (role.kind == Role::kGlobalId) {
-      if (std::optional<std::string_view> v = Single(fields[role.fields[0]])) {
-        Append(&global_ids_, seq, 0, *v);
+    Logs& logs = logs_[role.constraint];
+    if (role.kind == Role::kInvExt || role.kind == Role::kInvRef) {
+      Logs::InvEntry e;
+      e.seq = seq;
+      if (std::optional<std::string_view> k =
+              reader_.Single(fields[role.fields[0]])) {
+        e.has_key = true;
+        e.key = logs.Store(*k);
       }
+      if (reader_.SetOf(fields[role.fields[1]])) {
+        e.has_set = true;
+        e.set_begin = static_cast<uint32_t>(logs.values.size());
+        for (std::string_view v : reader_.values()) logs.Store(v);
+        e.set_end = static_cast<uint32_t>(logs.values.size());
+      }
+      (role.kind == Role::kInvExt ? logs.inv_ext : logs.inv_ref)
+          .push_back(std::move(e));
       continue;
     }
-    Logs& logs = logs_[role.constraint];
+    const bool present = reader_.Read(role, fields);
+    std::optional<TupleLog>* log = &logs.ext;
     switch (role.kind) {
-      case Role::kKeyTuple:
-      case Role::kFkTuple:
-        if (!TupleOf(fields, role.fields)) {
-          logs.ext_missing.push_back(seq);
-          break;
-        }
-        EncodeTupleInto(view_scratch_, &encode_buf_);
-        Append(&logs.ext, seq, 0, encode_buf_);
+      case Role::kGlobalId:
+        log = &global_ids_;
         break;
       case Role::kFkTarget:
-        if (TupleOf(fields, role.fields)) {
-          EncodeTupleInto(view_scratch_, &encode_buf_);
-          Append(&logs.target, seq, 0, encode_buf_);
-        }
-        break;
-      case Role::kSfkSource: {
-        if (!SetOf(fields[role.fields[0]])) {
-          logs.ext_missing.push_back(seq);
-          break;
-        }
-        uint32_t rank = 0;
-        for (std::string_view v : view_scratch_) {
-          Append(&logs.ext, seq, rank++, v);
-        }
-        break;
-      }
       case Role::kSfkTarget:
-        if (std::optional<std::string_view> v =
-                Single(fields[role.fields[0]])) {
-          Append(&logs.target, seq, 0, *v);
-        }
+        log = &logs.target;
         break;
-      case Role::kIdExt:
-        if (std::optional<std::string_view> v =
-                Single(fields[role.fields[0]])) {
-          Append(&logs.ext, seq, 0, *v);
-        } else {
-          logs.ext_missing.push_back(seq);
-        }
-        break;
-      case Role::kInvExt:
-      case Role::kInvRef: {
-        Logs::InvEntry e;
-        e.seq = seq;
-        if (std::optional<std::string_view> k =
-                Single(fields[role.fields[0]])) {
-          e.has_key = true;
-          e.key = logs.Store(*k);
-        }
-        if (SetOf(fields[role.fields[1]])) {
-          e.has_set = true;
-          e.set_begin = static_cast<uint32_t>(logs.values.size());
-          for (std::string_view v : view_scratch_) logs.Store(v);
-          e.set_end = static_cast<uint32_t>(logs.values.size());
-        }
-        (role.kind == Role::kInvExt ? logs.inv_ext : logs.inv_ref)
-            .push_back(std::move(e));
-        break;
-      }
-      case Role::kGlobalId:
+      default:  // ext(tau) roles: a missing field is a violation
+        if (!present) logs.ext_missing.push_back(seq);
         break;
     }
+    if (!present) continue;
+    uint32_t rank = 0;
+    for (std::string_view v : reader_.values()) Append(log, seq, rank++, v);
   }
 }
 
 ConstraintReport ConstraintRun::Finish() {
   ConstraintReport report;
-  report.steps = steps_;
+  report.steps = reader_.steps();
   if (!spill_error_.ok()) {
     report.status = spill_error_;
     return report;

@@ -13,18 +13,23 @@
 // the value of a sub-element field is the concatenated character data of
 // the unique child with that label.
 //
-// One core evaluates Sigma for both pipelines. The constructor compiles,
-// per element type, the fields the constraints read and the role each
-// constraint gives the type (key tuple, foreign-key source or target, ID
-// holder, inverse side). A ConstraintRun then takes one call per vertex
-// with that vertex's resolved fields, appends the field tuples to sorted
-// TupleLogs (constraints/extent_log.h), and Finish() turns sorted scans
-// of those logs into the violation list: duplicate keys by group
-// iteration, foreign keys by merge-join, document-wide IDs via a global
-// ID log. Two callers feed it: Check() walks a DataTree in vertex-id
-// order (detached vertices included, attribute sets and text children as
+// One plan serves every checker. The constructor compiles, per element
+// type, the fields the constraints read and the role each constraint
+// gives the type (key tuple, foreign-key source or target, ID holder,
+// inverse side). Two rules read a vertex through that plan:
+// ResolveTreeFields turns a DataTree vertex into resolved fields, and
+// RoleReader turns resolved fields into what one role reads (an encoded
+// tuple, a set's members, or one value). A ConstraintRun takes one call
+// per vertex, appends what each role reads to sorted TupleLogs
+// (constraints/extent_log.h), and Finish() turns sorted scans of those
+// logs into the violation list: duplicate keys by group iteration,
+// foreign keys by merge-join, document-wide IDs via a global ID log.
+// Two drivers feed it: Check() walks a DataTree in vertex-id order
+// (detached vertices included, attribute sets and text children as
 // built), and the streaming validator (engine/stream_validator.h) feeds
-// tokenizer events. The nested-loop reference semantics the core is
+// tokenizer events. IncrementalChecker (constraints/incremental.h) reads
+// vertices through the same plan and rules but keeps running counts
+// instead of logs. The nested-loop reference semantics the core is
 // tested against live in src/fuzzing/reference_checker.h.
 //
 // Thread-safety: the constructor compiles everything derived from the DTD
@@ -99,7 +104,9 @@ class ConstraintChecker {
   ConstraintReport Check(const DataTree& tree, const Deadline& deadline) const;
 
   /// The value of field `name` (attribute or unique sub-element) on vertex
-  /// `v`, as a set of atomic values. Missing fields yield an error.
+  /// `v`, as a set of atomic values. Missing fields yield an error. The
+  /// reference evaluator's reading of Section 3.4; the core reads through
+  /// ResolveTreeFields.
   Result<AttrValue> FieldValue(const DataTree& tree, VertexId v,
                                const std::string& name) const;
 
@@ -137,6 +144,48 @@ class ConstraintChecker {
     return it == type_plans_.end() ? nullptr : &it->second;
   }
 
+  /// One field of one vertex as resolved: a present attribute's value
+  /// set, the text of the unique matching sub-element, or missing. Views
+  /// must stay valid while the field is read.
+  struct Field {
+    enum Kind { kMissing, kSet, kText } kind = kMissing;
+    const AttrValue* set = nullptr;  // kSet
+    std::string_view text;           // kText
+  };
+
+  /// How the fields of `plan` resolve on tree vertex `v`: a present
+  /// attribute is its value set; a declared attribute that is absent is
+  /// missing (never a sub-element); any other name is the text of the
+  /// unique child so labeled, kept in `texts`. `syms` holds the tree's
+  /// Symbols of plan.fields (kInvalidSymbol for names the tree lacks).
+  static void ResolveTreeFields(const DataTree& tree, VertexId v,
+                                const TypePlan& plan,
+                                const std::vector<Symbol>& syms,
+                                std::vector<Field>* fields,
+                                std::vector<std::string>* texts);
+
+  /// What a role reads from one vertex's resolved fields. Read() fills
+  /// values() with the encoded field tuple (kKeyTuple, kFkTuple,
+  /// kFkTarget), every member of the set (kSfkSource) or the one value
+  /// (kSfkTarget, kIdExt, kGlobalId), and returns false when a field is
+  /// missing, or holds other than one value where one is needed. Inverse
+  /// roles read their key with Single() and their set with SetOf().
+  /// Views stay valid until the next call or until the fields change.
+  class RoleReader {
+   public:
+    bool Read(const Role& role, const std::vector<Field>& fields);
+    std::optional<std::string_view> Single(const Field& f);
+    bool SetOf(const Field& f);  // fills values()
+    const std::vector<std::string_view>& values() const { return values_; }
+    /// Single-value reads so far (the core's work counter).
+    size_t steps() const { return steps_; }
+
+   private:
+    std::vector<std::string_view> values_;
+    std::string encoded_;
+    size_t steps_ = 0;
+  };
+
  private:
   friend class ConstraintRun;
 
@@ -165,17 +214,8 @@ class ConstraintRun {
   ConstraintRun(const ConstraintChecker& checker, size_t spill_budget_bytes,
                 const Deadline& deadline);
 
-  /// One field of one vertex as the caller resolved it: a present
-  /// attribute's value set, the text of the unique matching sub-element,
-  /// or missing. Views must stay valid for the AddVertex call only.
-  struct Field {
-    enum Kind { kMissing, kSet, kText } kind = kMissing;
-    const AttrValue* set = nullptr;  // kSet
-    std::string_view text;           // kText
-  };
-
   void AddVertex(uint32_t seq, const ConstraintChecker::TypePlan& plan,
-                 const std::vector<Field>& fields);
+                 const std::vector<ConstraintChecker::Field>& fields);
 
   /// Evaluates every constraint over the collected logs.
   ConstraintReport Finish();
@@ -215,10 +255,6 @@ class ConstraintRun {
     }
   };
 
-  std::optional<std::string_view> Single(const Field& f);
-  bool SetOf(const Field& f);  // fills view_scratch_
-  bool TupleOf(const std::vector<Field>& fields,
-               const std::vector<size_t>& which);  // fills view_scratch_
   void Append(std::optional<TupleLog>* log, uint32_t seq, uint32_t rank,
               std::string_view payload);
   void EvaluateInverse(size_t i, Logs& logs, ConstraintReport* report);
@@ -230,10 +266,8 @@ class ConstraintRun {
   SpillBudget budget_;
   std::vector<Logs> logs_;  // parallel to sigma; never resized
   std::optional<TupleLog> global_ids_;
-  std::vector<std::string_view> view_scratch_;
-  std::string encode_buf_;
+  ConstraintChecker::RoleReader reader_;
   Status spill_error_ = Status::OK();
-  size_t steps_ = 0;
 };
 
 }  // namespace xic

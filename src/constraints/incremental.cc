@@ -2,351 +2,134 @@
 
 #include <algorithm>
 
-#include "constraints/extent_log.h"
-#include "constraints/well_formed.h"
-
 namespace xic {
 
 IncrementalChecker::IncrementalChecker(const DtdStructure& dtd,
                                        const ConstraintSet& sigma)
-    : dtd_(dtd), sigma_(sigma) {
-  violations_.assign(sigma_.constraints.size(), 0);
-  key_indexes_.resize(sigma_.constraints.size());
-  fk_indexes_.resize(sigma_.constraints.size());
-  // A constraint may read one field through both of its roles (e.g. the
-  // reflexive "fk t.x -> t.x", or "fk t[x,y] -> t[y,x]"); registering it
-  // twice would double every Retract/Contribute on that field and
-  // underflow the violation counts.
-  auto watch = [this](const std::string& element, const std::string& attr,
-                      size_t index) {
-    std::vector<size_t>& watchers = field_watchers_[{element, attr}];
-    if (std::find(watchers.begin(), watchers.end(), index) ==
-        watchers.end()) {
-      watchers.push_back(index);
+    : dtd_(dtd),
+      sigma_(std::make_unique<const ConstraintSet>(sigma)),
+      checker_(dtd, *sigma_) {
+  const std::vector<Constraint>& constraints = sigma_->constraints;
+  violations_.assign(constraints.size(), 0);
+  tallies_.resize(constraints.size());
+  // Counts are kept only for what a mutation can change in O(1): the
+  // fields must be declared attributes, and inverse constraints (which
+  // compile to no role when their keys are unresolvable) are refused
+  // outright.
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    const Constraint& c = constraints[i];
+    if (c.kind == ConstraintKind::kInverse) {
+      status_ = Status::NotSupported(
+          "inverse constraints are not incrementally maintained; use "
+          "ConstraintChecker");
+      return;
     }
+    for (const std::string* element : {&c.element, &c.ref_element}) {
+      const TypePlan* plan = checker_.PlanFor(*element);
+      if (plan == nullptr) continue;
+      for (const Role& role : plan->roles) {
+        if (role.constraint != i || role.kind == Role::kGlobalId) continue;
+        for (size_t f : role.fields) {
+          if (plan->field_declared[f]) continue;
+          status_ = Status::NotSupported(
+              "incremental checking requires attribute fields; " +
+              *element + "." + plan->fields[f] + " is not an attribute");
+          return;
+        }
+      }
+    }
+  }
+}
+
+void IncrementalChecker::Bump(size_t* counter, int64_t delta) {
+  *counter = static_cast<size_t>(static_cast<int64_t>(*counter) + delta);
+  total_violations_ =
+      static_cast<size_t>(static_cast<int64_t>(total_violations_) + delta);
+}
+
+int64_t IncrementalChecker::Step(Tallies* tallies, std::string_view value,
+                                 int side, int sign, Rule rule) {
+  auto it = tallies->find(value);
+  if (it == tallies->end()) it = tallies->emplace(value, Tally{}).first;
+  Tally& t = it->second;
+  const size_t before = rule(t);
+  t.n[side] = static_cast<size_t>(static_cast<int64_t>(t.n[side]) + sign);
+  const int64_t delta =
+      static_cast<int64_t>(rule(t)) - static_cast<int64_t>(before);
+  if (t.n[0] == 0 && t.n[1] == 0) tallies->erase(it);
+  return delta;
+}
+
+void IncrementalChecker::Apply(VertexId v, const TypePlan& plan, size_t field,
+                               int sign) {
+  syms_.clear();
+  for (const std::string& name : plan.fields) {
+    syms_.push_back(tree_.FindName(name));
+  }
+  ConstraintChecker::ResolveTreeFields(tree_, v, plan, syms_, &fields_,
+                                       &texts_);
+  // The violations one value's tally contributes, per kind of count.
+  constexpr Rule kKeyExtras = [](const Tally& t) -> size_t {
+    return t.n[0] > 1 ? t.n[0] - 1 : 0;
   };
-  for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
-    const Constraint& c = sigma_.constraints[i];
-    switch (c.kind) {
-      case ConstraintKind::kKey:
-      case ConstraintKind::kForeignKey:
-        for (const std::string& a : c.attrs) {
-          if (!dtd_.HasAttribute(c.element, a)) {
-            status_ = Status::NotSupported(
-                "incremental checking requires attribute fields; " +
-                c.element + "." + a + " is not an attribute");
-            return;
-          }
-          watch(c.element, a, i);
-        }
-        if (c.kind == ConstraintKind::kForeignKey) {
-          for (const std::string& a : c.ref_attrs) {
-            if (!dtd_.HasAttribute(c.ref_element, a)) {
-              status_ = Status::NotSupported(
-                  "incremental checking requires attribute fields; " +
-                  c.ref_element + "." + a + " is not an attribute");
-              return;
-            }
-            watch(c.ref_element, a, i);
-          }
-        }
+  constexpr Rule kDangling = [](const Tally& t) -> size_t {
+    return t.n[1] == 0 ? t.n[0] : 0;
+  };
+  constexpr Rule kIdClashes = [](const Tally& t) -> size_t {
+    return t.n[0] > 1 ? t.n[1] : 0;
+  };
+  const bool id_constrained =
+      std::any_of(plan.roles.begin(), plan.roles.end(),
+                  [](const Role& r) { return r.kind == Role::kIdExt; });
+  // Each step moves one count by the difference it makes, so the totals
+  // hold after every step and the order of the roles does not matter
+  // (a reflexive foreign key's source and target may share a field).
+  for (const Role& role : plan.roles) {
+    if (field != kAllFields &&
+        std::find(role.fields.begin(), role.fields.end(), field) ==
+            role.fields.end()) {
+      continue;
+    }
+    const bool present = reader_.Read(role, fields_);
+    size_t* counter = &violations_[role.constraint];
+    int side = 0;
+    Rule rule = kDangling;
+    switch (role.kind) {
+      case Role::kKeyTuple:
+        rule = kKeyExtras;
         break;
-      case ConstraintKind::kSetForeignKey:
-        watch(c.element, c.attr(), i);
-        watch(c.ref_element, c.ref_attr(), i);
+      case Role::kFkTuple:
+      case Role::kSfkSource:
         break;
-      case ConstraintKind::kId: {
-        has_id_constraints_ = true;
-        id_constraint_[c.element] = i;
-        watch(c.element, c.attr(), i);
+      case Role::kFkTarget:
+      case Role::kSfkTarget:
+        side = 1;
         break;
+      case Role::kIdExt:  // the value itself is counted by kGlobalId
+        if (!present) Bump(counter, sign);
+        continue;
+      case Role::kGlobalId: {
+        if (!present) continue;
+        const std::string_view id = reader_.values()[0];
+        Bump(&id_conflicts_, Step(&ids_, id, 0, sign, kIdClashes));
+        if (id_constrained) {
+          Bump(&id_conflicts_, Step(&ids_, id, 1, sign, kIdClashes));
+        }
+        continue;
       }
-      case ConstraintKind::kInverse:
-        status_ = Status::NotSupported(
-            "inverse constraints are not incrementally maintained; use "
-            "ConstraintChecker");
-        return;
+      case Role::kInvExt:
+      case Role::kInvRef:
+        continue;  // refused by the constructor
     }
-  }
-}
-
-void IncrementalChecker::Bump(size_t index, int64_t delta) {
-  violations_[index] = static_cast<size_t>(
-      static_cast<int64_t>(violations_[index]) + delta);
-  total_violations_ =
-      static_cast<size_t>(static_cast<int64_t>(total_violations_) + delta);
-}
-
-void IncrementalChecker::BumpIdConflicts(int64_t delta) {
-  id_conflicts_ =
-      static_cast<size_t>(static_cast<int64_t>(id_conflicts_) + delta);
-  total_violations_ =
-      static_cast<size_t>(static_cast<int64_t>(total_violations_) + delta);
-}
-
-bool IncrementalChecker::IsIdConstrainedType(const std::string& type) const {
-  return id_constraint_.count(type) > 0;
-}
-
-void IncrementalChecker::RetractIdValue(VertexId v) {
-  if (!has_id_constraints_) return;
-  const std::string& type = tree_.label(v);
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  if (!id_attr.has_value()) return;
-  bool constrained = IsIdConstrainedType(type);
-  Result<std::string> value = tree_.SingleAttribute(v, *id_attr);
-  if (!value.ok()) {
-    // Was counted as missing if constrained.
-    if (constrained) Bump(id_constraint_.at(type), -1);
-    return;
-  }
-  IdValueEntry& entry = id_values_[value.value()];
-  // Conflict accounting: constrained holders of duplicated values. The
-  // count is global (document-wide scope), tracked in id_conflicts_.
-  size_t old_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  entry.holders -= 1;
-  if (constrained) entry.constrained -= 1;
-  size_t new_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  BumpIdConflicts(static_cast<int64_t>(new_conflicts) -
-             static_cast<int64_t>(old_conflicts));
-  if (entry.holders == 0) id_values_.erase(value.value());
-}
-
-void IncrementalChecker::ContributeIdValue(VertexId v) {
-  if (!has_id_constraints_) return;
-  const std::string& type = tree_.label(v);
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  if (!id_attr.has_value()) return;
-  bool constrained = IsIdConstrainedType(type);
-  Result<std::string> value = tree_.SingleAttribute(v, *id_attr);
-  if (!value.ok()) {
-    if (constrained) Bump(id_constraint_.at(type), +1);  // missing ID
-    return;
-  }
-  IdValueEntry& entry = id_values_[value.value()];
-  size_t old_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  entry.holders += 1;
-  if (constrained) entry.constrained += 1;
-  size_t new_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  BumpIdConflicts(static_cast<int64_t>(new_conflicts) -
-             static_cast<int64_t>(old_conflicts));
-}
-
-void IncrementalChecker::Retract(size_t index, VertexId v) {
-  const Constraint& c = sigma_.constraints[index];
-  const std::string& type = tree_.label(v);
-  switch (c.kind) {
-    case ConstraintKind::kKey: {
-      if (type != c.element) return;
-      KeyIndex& idx = key_indexes_[index];
-      std::vector<std::string> tuple;
-      bool complete = true;
-      for (const std::string& a : c.attrs) {
-        Result<std::string> val = tree_.SingleAttribute(v, a);
-        if (!val.ok()) {
-          complete = false;
-          break;
-        }
-        tuple.push_back(std::move(val).value());
-      }
-      if (!complete) {
-        idx.incomplete -= 1;
-        Bump(index, -1);
-        return;
-      }
-      std::string key = EncodeTuple(tuple);
-      size_t& count = idx.tuple_counts[key];
-      if (count >= 2) Bump(index, -1);  // this vertex was an extra
-      count -= 1;
-      if (count == 0) idx.tuple_counts.erase(key);
-      return;
+    if (!present) {
+      // An incomplete source or key tuple is a violation; a target
+      // without its tuple holds nothing.
+      if (side == 0) Bump(counter, sign);
+      continue;
     }
-    case ConstraintKind::kForeignKey:
-    case ConstraintKind::kSetForeignKey: {
-      FkIndex& idx = fk_indexes_[index];
-      if (type == c.element) {
-        // Source contributions.
-        if (c.kind == ConstraintKind::kForeignKey) {
-          std::vector<std::string> tuple;
-          bool complete = true;
-          for (const std::string& a : c.attrs) {
-            Result<std::string> val = tree_.SingleAttribute(v, a);
-            if (!val.ok()) {
-              complete = false;
-              break;
-            }
-            tuple.push_back(std::move(val).value());
-          }
-          if (!complete) {
-            idx.incomplete -= 1;
-            Bump(index, -1);
-          } else {
-            std::string key = EncodeTuple(tuple);
-            if (idx.target_counts.count(key) == 0) {
-              idx.dangling -= 1;
-              Bump(index, -1);
-            }
-            size_t& count = idx.source_counts[key];
-            count -= 1;
-            if (count == 0) idx.source_counts.erase(key);
-          }
-        } else {
-          Result<AttrValue> values = tree_.Attribute(v, c.attr());
-          if (!values.ok()) {
-            idx.incomplete -= 1;
-            Bump(index, -1);
-          } else {
-            for (const std::string& member : values.value()) {
-              std::string key = EncodeTuple({member});
-              if (idx.target_counts.count(key) == 0) {
-                idx.dangling -= 1;
-                Bump(index, -1);
-              }
-              size_t& count = idx.source_counts[key];
-              count -= 1;
-              if (count == 0) idx.source_counts.erase(key);
-            }
-          }
-        }
-      }
-      if (type == c.ref_element) {
-        // Target contributions.
-        std::vector<std::string> tuple;
-        bool complete = true;
-        for (const std::string& a : c.ref_attrs) {
-          Result<std::string> val = tree_.SingleAttribute(v, a);
-          if (!val.ok()) {
-            complete = false;
-            break;
-          }
-          tuple.push_back(std::move(val).value());
-        }
-        if (complete) {
-          std::string key = EncodeTuple(tuple);
-          size_t& count = idx.target_counts[key];
-          count -= 1;
-          if (count == 0) {
-            idx.target_counts.erase(key);
-            // Sources pointing here become dangling.
-            auto it = idx.source_counts.find(key);
-            if (it != idx.source_counts.end()) {
-              idx.dangling += it->second;
-              Bump(index, static_cast<int64_t>(it->second));
-            }
-          }
-        }
-      }
-      return;
+    for (std::string_view value : reader_.values()) {
+      Bump(counter, Step(&tallies_[role.constraint], value, side, sign, rule));
     }
-    case ConstraintKind::kId:
-      // Handled globally by RetractIdValue.
-      return;
-    case ConstraintKind::kInverse:
-      return;
-  }
-}
-
-void IncrementalChecker::Contribute(size_t index, VertexId v) {
-  const Constraint& c = sigma_.constraints[index];
-  const std::string& type = tree_.label(v);
-  switch (c.kind) {
-    case ConstraintKind::kKey: {
-      if (type != c.element) return;
-      KeyIndex& idx = key_indexes_[index];
-      std::vector<std::string> tuple;
-      bool complete = true;
-      for (const std::string& a : c.attrs) {
-        Result<std::string> val = tree_.SingleAttribute(v, a);
-        if (!val.ok()) {
-          complete = false;
-          break;
-        }
-        tuple.push_back(std::move(val).value());
-      }
-      if (!complete) {
-        idx.incomplete += 1;
-        Bump(index, +1);
-        return;
-      }
-      size_t& count = idx.tuple_counts[EncodeTuple(tuple)];
-      count += 1;
-      if (count >= 2) Bump(index, +1);
-      return;
-    }
-    case ConstraintKind::kForeignKey:
-    case ConstraintKind::kSetForeignKey: {
-      FkIndex& idx = fk_indexes_[index];
-      if (type == c.ref_element) {
-        // Register the target first so self-referencing rows match.
-        std::vector<std::string> tuple;
-        bool complete = true;
-        for (const std::string& a : c.ref_attrs) {
-          Result<std::string> val = tree_.SingleAttribute(v, a);
-          if (!val.ok()) {
-            complete = false;
-            break;
-          }
-          tuple.push_back(std::move(val).value());
-        }
-        if (complete) {
-          std::string key = EncodeTuple(tuple);
-          size_t& count = idx.target_counts[key];
-          count += 1;
-          if (count == 1) {
-            auto it = idx.source_counts.find(key);
-            if (it != idx.source_counts.end()) {
-              idx.dangling -= it->second;
-              Bump(index, -static_cast<int64_t>(it->second));
-            }
-          }
-        }
-      }
-      if (type == c.element) {
-        if (c.kind == ConstraintKind::kForeignKey) {
-          std::vector<std::string> tuple;
-          bool complete = true;
-          for (const std::string& a : c.attrs) {
-            Result<std::string> val = tree_.SingleAttribute(v, a);
-            if (!val.ok()) {
-              complete = false;
-              break;
-            }
-            tuple.push_back(std::move(val).value());
-          }
-          if (!complete) {
-            idx.incomplete += 1;
-            Bump(index, +1);
-          } else {
-            std::string key = EncodeTuple(tuple);
-            idx.source_counts[key] += 1;
-            if (idx.target_counts.count(key) == 0) {
-              idx.dangling += 1;
-              Bump(index, +1);
-            }
-          }
-        } else {
-          Result<AttrValue> values = tree_.Attribute(v, c.attr());
-          if (!values.ok()) {
-            idx.incomplete += 1;
-            Bump(index, +1);
-          } else {
-            for (const std::string& member : values.value()) {
-              std::string key = EncodeTuple({member});
-              idx.source_counts[key] += 1;
-              if (idx.target_counts.count(key) == 0) {
-                idx.dangling += 1;
-                Bump(index, +1);
-              }
-            }
-          }
-        }
-      }
-      return;
-    }
-    case ConstraintKind::kId:
-      return;  // handled globally
-    case ConstraintKind::kInverse:
-      return;
   }
 }
 
@@ -362,8 +145,8 @@ Result<VertexId> IncrementalChecker::AddElement(VertexId parent,
                       : "only the first element may omit a parent");
   }
   // Validate the parent *before* creating the vertex: a rejected update
-  // must leave both the tree and the indexes untouched (an orphan vertex
-  // would silently drift away from what the indexes cover).
+  // must leave both the tree and the counts untouched (an orphan vertex
+  // would silently drift away from what the counts cover).
   if (parent != kInvalidVertex && parent >= tree_.size()) {
     return Status::InvalidArgument("parent vertex id out of range");
   }
@@ -371,20 +154,11 @@ Result<VertexId> IncrementalChecker::AddElement(VertexId parent,
   if (parent != kInvalidVertex) {
     XIC_RETURN_IF_ERROR(tree_.AddChildVertex(parent, v));
   }
-  // Initial contributions (all fields unset).
-  std::set<size_t> touched;
-  for (const auto& [field, watchers] : field_watchers_) {
-    if (field.first != label) continue;
-    for (size_t index : watchers) touched.insert(index);
+  // A new vertex's fields are all unset: its key and source tuples count
+  // as incomplete from the start.
+  if (const TypePlan* plan = checker_.PlanFor(label)) {
+    Apply(v, *plan, kAllFields, +1);
   }
-  for (size_t index : touched) {
-    // Only source/key roles count incomplete tuples; target roles of FK
-    // constraints contribute nothing while incomplete.
-    if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-      Contribute(index, v);
-    }
-  }
-  ContributeIdValue(v);
   return v;
 }
 
@@ -405,29 +179,19 @@ Status IncrementalChecker::SetAttribute(VertexId v, const std::string& attr,
     return Status::InvalidArgument("single-valued attribute " + type + "." +
                                    attr + " needs exactly one value");
   }
-  auto watchers = field_watchers_.find({type, attr});
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  bool is_id_field = id_attr.has_value() && *id_attr == attr;
-
-  if (watchers != field_watchers_.end()) {
-    for (size_t index : watchers->second) {
-      if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-        Retract(index, v);
-      }
-    }
+  const TypePlan* plan = checker_.PlanFor(type);
+  const size_t field =
+      plan == nullptr
+          ? 0
+          : static_cast<size_t>(
+                std::find(plan->fields.begin(), plan->fields.end(), attr) -
+                plan->fields.begin());
+  if (plan != nullptr && field == plan->fields.size()) {
+    plan = nullptr;  // no constraint reads attr
   }
-  if (is_id_field) RetractIdValue(v);
-
+  if (plan != nullptr) Apply(v, *plan, field, -1);
   tree_.SetAttribute(v, attr, std::move(value));
-
-  if (watchers != field_watchers_.end()) {
-    for (size_t index : watchers->second) {
-      if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-        Contribute(index, v);
-      }
-    }
-  }
-  if (is_id_field) ContributeIdValue(v);
+  if (plan != nullptr) Apply(v, *plan, field, +1);
   return Status::OK();
 }
 

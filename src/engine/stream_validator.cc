@@ -51,10 +51,10 @@ class StreamRun {
     std::vector<Symbol> field_syms;  // parallel to tplan->fields
   };
 
-  // One field of one open vertex. The three states mirror the checker's
-  // FieldValue contract: a present attribute is the attribute's value
-  // set; a declared-but-absent attribute is missing; anything else falls
-  // back to the unique matching sub-element's text.
+  // One field of one open vertex. The three states mirror the tree rule
+  // (ConstraintChecker::ResolveTreeFields): a present attribute is the
+  // attribute's value set; a declared-but-absent attribute is missing;
+  // anything else falls back to the unique matching sub-element's text.
   struct FieldState {
     enum Kind { kUnset, kAttr, kCapture } kind = kUnset;
     AttrValue attr;     // kAttr
@@ -111,7 +111,7 @@ class StreamRun {
   std::string run_prefix_;      // all-space chunks pending qualification
 
   std::vector<DataTree::AttrEntry> attr_scratch_;
-  std::vector<ConstraintRun::Field> field_scratch_;
+  std::vector<ConstraintChecker::Field> field_scratch_;
 };
 
 StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
@@ -229,15 +229,15 @@ void StreamRun::OnEnd() {
   Frame& frame = frames_[depth_ - 1];
   if (compile_ok_) structure_.Close(frame.vertex);
   if (frame.info->tplan != nullptr) {
-    field_scratch_.assign(frame.fields.size(), ConstraintRun::Field{});
+    field_scratch_.assign(frame.fields.size(), ConstraintChecker::Field{});
     for (size_t i = 0; i < frame.fields.size(); ++i) {
       const FieldState& fs = frame.fields[i];
-      ConstraintRun::Field& f = field_scratch_[i];
+      ConstraintChecker::Field& f = field_scratch_[i];
       if (fs.kind == FieldState::kAttr) {
-        f.kind = ConstraintRun::Field::kSet;
+        f.kind = ConstraintChecker::Field::kSet;
         f.set = &fs.attr;
       } else if (fs.kind == FieldState::kCapture && fs.captures == 1) {
-        f.kind = ConstraintRun::Field::kText;
+        f.kind = ConstraintChecker::Field::kText;
         f.text = fs.text;
       }
     }

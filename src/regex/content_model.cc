@@ -61,20 +61,42 @@ RegexPtr Regex::Choice(std::vector<RegexPtr> parts) {
   return out;
 }
 
-bool Regex::Nullable() const {
-  switch (kind_) {
-    case RegexKind::kEpsilon:
-      return true;
-    case RegexKind::kSymbol:
-      return false;
-    case RegexKind::kUnion:
-      return left_->Nullable() || right_->Nullable();
-    case RegexKind::kConcat:
-      return left_->Nullable() && right_->Nullable();
-    case RegexKind::kStar:
-      return true;
+Regex::~Regex() {
+  // Operands this node alone owns are unlinked here and freed by this
+  // loop, so no destructor recurses more than one level.
+  std::vector<RegexPtr> doomed;
+  auto take = [&](RegexPtr& operand) {
+    if (operand != nullptr && operand.use_count() == 1) {
+      doomed.push_back(std::move(operand));
+    }
+  };
+  take(left_);
+  take(right_);
+  while (!doomed.empty()) {
+    RegexPtr node = std::move(doomed.back());
+    doomed.pop_back();
+    // Sole owner: no one else can observe the node being emptied.
+    Regex& owned = const_cast<Regex&>(*node);
+    take(owned.left_);
+    take(owned.right_);
   }
-  return false;
+}
+
+bool Regex::Nullable() const {
+  return Fold<bool>(*this, [](const Regex& node, bool l, bool r) {
+    switch (node.kind()) {
+      case RegexKind::kSymbol:
+        return false;
+      case RegexKind::kUnion:
+        return l || r;
+      case RegexKind::kConcat:
+        return l && r;
+      case RegexKind::kEpsilon:
+      case RegexKind::kStar:
+        break;
+    }
+    return true;
+  });
 }
 
 std::set<std::string> Regex::Symbols() const {
@@ -119,29 +141,23 @@ int64_t MaxBound(int64_t a, int64_t b) {
 }  // namespace
 
 Regex::Bounds Regex::OccurrenceBounds(const std::string& symbol) const {
-  switch (kind_) {
-    case RegexKind::kEpsilon:
-      return {0, 0};
-    case RegexKind::kSymbol:
-      if (symbol_ == symbol) return {1, 1};
-      return {0, 0};
-    case RegexKind::kUnion: {
-      Bounds l = left_->OccurrenceBounds(symbol);
-      Bounds r = right_->OccurrenceBounds(symbol);
-      return {std::min(l.min, r.min), MaxBound(l.max, r.max)};
+  return Fold<Bounds>(*this, [&](const Regex& node, Bounds l, Bounds r) {
+    switch (node.kind()) {
+      case RegexKind::kEpsilon:
+        break;
+      case RegexKind::kSymbol:
+        if (node.symbol() == symbol) return Bounds{1, 1};
+        break;
+      case RegexKind::kUnion:
+        return Bounds{std::min(l.min, r.min), MaxBound(l.max, r.max)};
+      case RegexKind::kConcat:
+        return Bounds{l.min + r.min, AddBound(l.max, r.max)};
+      case RegexKind::kStar:
+        if (l.max != 0) return Bounds{0, kUnbounded};
+        break;
     }
-    case RegexKind::kConcat: {
-      Bounds l = left_->OccurrenceBounds(symbol);
-      Bounds r = right_->OccurrenceBounds(symbol);
-      return {l.min + r.min, AddBound(l.max, r.max)};
-    }
-    case RegexKind::kStar: {
-      Bounds in = left_->OccurrenceBounds(symbol);
-      if (in.max == 0) return {0, 0};
-      return {0, kUnbounded};
-    }
-  }
-  return {0, 0};
+    return Bounds{0, 0};
+  });
 }
 
 bool Regex::IsUniqueSymbol(const std::string& symbol) const {
@@ -149,47 +165,51 @@ bool Regex::IsUniqueSymbol(const std::string& symbol) const {
   return b.min == 1 && b.max == 1;
 }
 
-namespace {
-
-// Renders with minimal parenthesization: union < concat < star.
-void Render(const Regex& re, int parent_precedence, std::string* out) {
-  switch (re.kind()) {
-    case RegexKind::kEpsilon:
-      *out += "EMPTY";
-      return;
-    case RegexKind::kSymbol:
-      *out += re.symbol();
-      return;
-    case RegexKind::kUnion: {
-      bool parens = parent_precedence > 0;
-      if (parens) *out += '(';
-      Render(*re.left(), 0, out);
-      *out += " | ";
-      Render(*re.right(), 0, out);
-      if (parens) *out += ')';
-      return;
-    }
-    case RegexKind::kConcat: {
-      bool parens = parent_precedence > 1;
-      if (parens) *out += '(';
-      Render(*re.left(), 1, out);
-      *out += ", ";
-      Render(*re.right(), 1, out);
-      if (parens) *out += ')';
-      return;
-    }
-    case RegexKind::kStar:
-      Render(*re.inner(), 2, out);
-      *out += '*';
-      return;
-  }
-}
-
-}  // namespace
-
 std::string Regex::ToString() const {
+  // Renders with minimal parenthesization (union < concat < star) from an
+  // explicit stack of pending nodes and literal text.
+  struct Pending {
+    const Regex* node;  // null: append `text`
+    int parent_precedence;
+    const char* text;
+  };
   std::string out;
-  Render(*this, 0, &out);
+  std::vector<Pending> todo{{this, 0, nullptr}};
+  while (!todo.empty()) {
+    const Pending p = todo.back();
+    todo.pop_back();
+    if (p.node == nullptr) {
+      out += p.text;
+      continue;
+    }
+    const Regex& re = *p.node;
+    switch (re.kind()) {
+      case RegexKind::kEpsilon:
+        out += "EMPTY";
+        break;
+      case RegexKind::kSymbol:
+        out += re.symbol();
+        break;
+      case RegexKind::kUnion:
+      case RegexKind::kConcat: {
+        const bool is_union = re.kind() == RegexKind::kUnion;
+        const int precedence = is_union ? 0 : 1;
+        const bool parens = p.parent_precedence > precedence;
+        if (parens) {
+          out += '(';
+          todo.push_back({nullptr, 0, ")"});
+        }
+        todo.push_back({re.right().get(), precedence, nullptr});
+        todo.push_back({nullptr, 0, is_union ? " | " : ", "});
+        todo.push_back({re.left().get(), precedence, nullptr});
+        break;
+      }
+      case RegexKind::kStar:
+        todo.push_back({nullptr, 0, "*"});
+        todo.push_back({re.inner().get(), 2, nullptr});
+        break;
+    }
+  }
   return out;
 }
 

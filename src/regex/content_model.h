@@ -18,6 +18,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -91,6 +93,12 @@ class Regex {
   /// DTD-style rendering, e.g. "(entry, author*, (text | section)*)".
   std::string ToString() const;
 
+  /// Frees uniquely owned operands with an explicit stack: Sequence and
+  /// Choice build chains as long as the model.
+  ~Regex();
+  Regex(const Regex&) = delete;
+  Regex& operator=(const Regex&) = delete;
+
  private:
   Regex(RegexKind kind, std::string symbol, RegexPtr left, RegexPtr right)
       : kind_(kind),
@@ -103,6 +111,47 @@ class Regex {
   RegexPtr left_;
   RegexPtr right_;
 };
+
+/// Calls leave(node) for every node of `re` after its operands, operands
+/// left to right, skipping nodes (and their operands) for which
+/// skip(node) holds. The stack is explicit: Regex::Sequence and
+/// Regex::Choice build chains as long as the model.
+template <typename Skip, typename Leave>
+void PostOrder(const Regex& re, Skip skip, Leave leave) {
+  std::vector<std::pair<const Regex*, bool>> todo{{&re, false}};
+  while (!todo.empty()) {
+    auto [node, expanded] = todo.back();
+    if (skip(node)) {
+      todo.pop_back();
+    } else if (!expanded && node->left() != nullptr) {
+      todo.back().second = true;
+      if (node->right() != nullptr) {
+        todo.emplace_back(node->right().get(), false);
+      }
+      todo.emplace_back(node->left().get(), false);
+    } else {
+      todo.pop_back();
+      leave(*node);
+    }
+  }
+}
+
+/// Evaluates `re` bottom-up: f(node, left, right) gets the values of the
+/// node's operands (T{} for an absent one). Each distinct node is
+/// evaluated once, however many owners it has (Plus shares its operand,
+/// so a plain tree walk of nested '+' would take 2^depth steps).
+template <typename T, typename F>
+T Fold(const Regex& re, F f) {
+  std::unordered_map<const Regex*, T> value{{nullptr, T{}}};
+  PostOrder(
+      re, [&](const Regex* node) { return value.count(node) > 0; },
+      [&](const Regex& node) {
+        T v = f(node, value.at(node.left().get()),
+                value.at(node.right().get()));
+        value.emplace(&node, std::move(v));
+      });
+  return value.at(&re);
+}
 
 /// Parses the DTD content-model surface syntax. Accepts:
 ///   EMPTY | ANY-free subset | "(" ... ")" with ',' '|' '*' '+' '?'

@@ -4,52 +4,17 @@
 #include <climits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "obs/obs.h"
 
 namespace xic {
 
-namespace {
-
-// Calls leave(node) for every node of `re` after its operands, operands
-// left to right, skipping nodes (and their operands) for which
-// skip(node) holds. The stack is explicit: Regex::Sequence and
-// Regex::Choice build chains as long as the model.
-template <typename Skip, typename Leave>
-void PostOrder(const Regex& re, Skip skip, Leave leave) {
-  std::vector<std::pair<const Regex*, bool>> todo{{&re, false}};
-  while (!todo.empty()) {
-    auto [node, expanded] = todo.back();
-    if (skip(node)) {
-      todo.pop_back();
-    } else if (!expanded && node->left() != nullptr) {
-      todo.back().second = true;
-      if (node->right() != nullptr) {
-        todo.emplace_back(node->right().get(), false);
-      }
-      todo.emplace_back(node->left().get(), false);
-    } else {
-      todo.pop_back();
-      leave(*node);
-    }
-  }
-}
-
-}  // namespace
-
 size_t GlushkovAutomaton::CountPositions(const Regex& re) {
-  std::unordered_map<const Regex*, size_t> count{{nullptr, 0}};
-  PostOrder(
-      re, [&](const Regex* node) { return count.count(node) > 0; },
-      [&](const Regex& node) {
-        const size_t l = count.at(node.left().get());
-        const size_t r = count.at(node.right().get());
-        count[&node] = node.kind() == RegexKind::kSymbol ? 1
-                       : l > SIZE_MAX - r                ? SIZE_MAX
-                                                         : l + r;
-      });
-  return count.at(&re);
+  return Fold<size_t>(re, [](const Regex& node, size_t l, size_t r) {
+    return node.kind() == RegexKind::kSymbol ? 1
+           : l > SIZE_MAX - r                ? SIZE_MAX
+                                             : l + r;
+  });
 }
 
 GlushkovAutomaton::GlushkovAutomaton(const RegexPtr& re) {

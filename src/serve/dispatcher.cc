@@ -17,6 +17,7 @@
 #include "util/json_writer.h"
 #include "util/strings.h"
 #include "xml/dtdc_io.h"
+#include "xml/stream_tokenizer.h"
 
 namespace xic::serve {
 
@@ -61,103 +62,6 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   if (errno != 0 || end == text.c_str() || *end != '\0') return false;
   *out = value;
   return true;
-}
-
-/// The DOCTYPE shell of a document, located without a full parse: name
-/// plus the raw internal subset between '[' and ']'. The subset text is
-/// the cache key material -- two documents sharing a DOCTYPE byte-for-
-/// byte share a compiled plan.
-struct DoctypeShell {
-  std::string name;
-  std::string subset;
-};
-
-Result<DoctypeShell> ExtractDoctype(const std::string& text) {
-  size_t at = text.find("<!DOCTYPE");
-  if (at == std::string::npos) {
-    return Status::InvalidArgument(
-        "document has no DOCTYPE (send schema.put first and pass "
-        "schema=<hash>, or inline the DTD)");
-  }
-  size_t pos = at + 9;  // past "<!DOCTYPE"
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-          text[pos] == '\r')) {
-    ++pos;
-  }
-  size_t name_start = pos;
-  while (pos < text.size() && IsNameChar(text[pos])) ++pos;
-  if (pos == name_start) {
-    return Status::ParseError("DOCTYPE without a root name");
-  }
-  DoctypeShell shell;
-  shell.name = text.substr(name_start, pos - name_start);
-  size_t open = text.find('[', pos);
-  size_t close_tag = text.find('>', pos);
-  if (open == std::string::npos ||
-      (close_tag != std::string::npos && close_tag < open)) {
-    return Status::InvalidArgument("DOCTYPE has no internal subset");
-  }
-  // Scan forward for the ']' that closes the internal subset. Only a
-  // top-level ']' closes it: one inside a comment, a PI, or a quoted
-  // literal of a markup declaration is subset content. Scanning forward
-  // (instead of rfind over the whole body) keeps "]>" sequences in the
-  // document content -- every CDATA section ends "]]>" -- out of the
-  // subset, which is the cache key material.
-  size_t close = std::string::npos;
-  size_t i = open + 1;
-  while (i < text.size()) {
-    char c = text[i];
-    if (c == ']') {
-      close = i;
-      break;
-    }
-    if (c != '<') {
-      ++i;
-      continue;
-    }
-    if (text.compare(i, 4, "<!--") == 0) {
-      size_t end = text.find("-->", i + 4);
-      if (end == std::string::npos) break;  // unterminated comment
-      i = end + 3;
-    } else if (text.compare(i, 2, "<?") == 0) {
-      size_t end = text.find("?>", i + 2);
-      if (end == std::string::npos) break;  // unterminated PI
-      i = end + 2;
-    } else {
-      // Markup declaration: skip to its '>' honoring quoted literals
-      // (an ATTLIST default or entity value may contain ']' or '>').
-      size_t j = i + 1;
-      while (j < text.size() && text[j] != '>') {
-        if (text[j] == '"' || text[j] == '\'') {
-          size_t q = text.find(text[j], j + 1);
-          if (q == std::string::npos) {
-            j = text.size();
-            break;
-          }
-          j = q + 1;
-        } else {
-          ++j;
-        }
-      }
-      if (j >= text.size()) break;  // unterminated declaration
-      i = j + 1;
-    }
-  }
-  if (close == std::string::npos) {
-    return Status::ParseError("unterminated DOCTYPE internal subset");
-  }
-  size_t after = close + 1;
-  while (after < text.size() &&
-         (text[after] == ' ' || text[after] == '\t' ||
-          text[after] == '\n' || text[after] == '\r')) {
-    ++after;
-  }
-  if (after >= text.size() || text[after] != '>') {
-    return Status::ParseError("expected '>' after DOCTYPE internal subset");
-  }
-  shell.subset = text.substr(open + 1, close - open - 1);
-  return shell;
 }
 
 /// Status of the first infrastructure failure in a single-document
@@ -242,9 +146,24 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
                                              const std::string& fault_key,
                                              bool* cache_hit,
                                              RequestTiming* timing) {
-  Result<DoctypeShell> shell = ExtractDoctype(schema_text);
-  if (!shell.ok()) return shell.status();
-  const std::string key = ContentHash(shell.value().subset);
+  // The DOCTYPE as the one tokenizer reads it. Its raw internal subset is
+  // the cache key material: documents sharing a DOCTYPE byte for byte
+  // share a compiled plan. Limits apply when the document is validated.
+  StringSource source(schema_text);
+  StreamTokenizer tokenizer(source, {.limits = ResourceLimits::Unlimited()});
+  StreamEvent doctype;
+  XIC_RETURN_IF_ERROR(tokenizer.Next(&doctype));
+  if (doctype.kind != StreamEventKind::kDoctype) {
+    return Status::InvalidArgument(
+        "document has no DOCTYPE (send schema.put first and pass "
+        "schema=<hash>, or inline the DTD)");
+  }
+  if (!doctype.has_internal_subset) {
+    return Status::InvalidArgument("DOCTYPE has no internal subset");
+  }
+  const std::string name(doctype.name);
+  const std::string subset(doctype.internal_subset);
+  const std::string key = ContentHash(subset);
   return cache_.GetOrCompile(
       key,
       [&](const std::string& cache_key) -> Result<PlanPtr> {
@@ -258,8 +177,7 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
           if (timing != nullptr) timing->fault = true;
           return s;
         }
-        Result<DtdC> parsed =
-            ParseDtdC(shell.value().subset, shell.value().name);
+        Result<DtdC> parsed = ParseDtdC(subset, name);
         if (!parsed.ok()) return parsed.status();
         auto plan = std::make_shared<CompiledPlan>();
         plan->key = cache_key;
@@ -284,7 +202,7 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
         // Footprint estimate: the automata report their table bytes;
         // the DTD and constraint plan scale with the declaration text;
         // the constant covers fixed per-plan overhead.
-        plan->bytes = 4096 + shell.value().subset.size() * 16 +
+        plan->bytes = 4096 + subset.size() * 16 +
                       plan->validator->automaton_bytes();
         return PlanPtr(std::move(plan));
       },

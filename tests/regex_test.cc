@@ -282,9 +282,11 @@ void OnSmallStack(std::function<void()> body) {
 }
 
 TEST(Glushkov, LongSequenceAndChoiceBuildOnASmallStack) {
-  // Sequence and Choice build left-deep chains; the build must not
-  // recurse along them. The expressions are made and destroyed on this
-  // thread; only the automata live on the small stack.
+  // Sequence and Choice build left-deep chains; neither the build nor
+  // any Regex member may recurse along them. The 4096-element
+  // expressions are made and destroyed on this thread, and their
+  // automata live on the small stack; a 262144-element sequence is made,
+  // analysed, rendered and destroyed there.
   std::vector<RegexPtr> names;
   std::vector<std::string> word;
   for (int i = 0; i < 4096; ++i) {
@@ -304,8 +306,20 @@ TEST(Glushkov, LongSequenceAndChoiceBuildOnASmallStack) {
     got.push_back(alt.IsOneUnambiguous());
     got.push_back(alt.Matches({word.back()}));
     got.push_back(!alt.Matches({word[0], word[1]}));
+    std::vector<RegexPtr> parts;
+    for (int i = 0; i < 262144; ++i) parts.push_back(Regex::Symbol("x"));
+    RegexPtr long_sequence = Regex::Sequence(std::move(parts));
+    got.push_back(GlushkovAutomaton::CountPositions(*long_sequence) ==
+                  262144);
+    got.push_back(!long_sequence->Nullable());
+    const Regex::Bounds bounds = long_sequence->OccurrenceBounds("x");
+    got.push_back(bounds.min == 262144 && bounds.max == 262144);
+    const std::string text = long_sequence->ToString();
+    got.push_back(text.size() == 262144 * 3 - 2 &&
+                  text.compare(0, 7, "x, x, x") == 0);
+    long_sequence.reset();
   });
-  EXPECT_EQ(got, std::vector<bool>(7, true));
+  EXPECT_EQ(got, std::vector<bool>(11, true));
 }
 
 TEST(RegexBuilders, SequenceAndChoice) {

@@ -570,6 +570,49 @@ TEST(DispatcherTest, DoctypeExtractionHonorsQuotesAndTermination) {
   EXPECT_EQ(dispatcher.cache().stats().compile_failures, 0u);
 }
 
+// The daemon reads the DOCTYPE with the same tokenizer as every other
+// path: a DOCTYPE-shaped comment before the real one is a comment, and
+// the cache key is the hash of the raw internal subset, byte for byte.
+TEST(DispatcherTest, DoctypeIsReadByTheDocumentTokenizer) {
+  constexpr char kSubset[] = R"(
+<!ELEMENT bib (entry*)>
+<!ELEMENT entry EMPTY>
+<!ATTLIST entry isbn CDATA #REQUIRED>
+)";
+  const std::string doc =
+      std::string("<?xml version=\"1.0\"?>\n"
+                  "<!-- <!DOCTYPE other [<!ELEMENT other EMPTY>]> -->\n"
+                  "<!DOCTYPE bib [") +
+      kSubset + "]>\n<bib><entry isbn=\"1\"/></bib>\n";
+  Dispatcher dispatcher(FastOptions());
+  for (const char* verb : {"validate", "validate.stream"}) {
+    Response response = dispatcher.Handle(MakeRequest(verb, doc));
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.headers.at("verdict"), "ok") << response.body;
+    EXPECT_EQ(response.headers.at("schema"), ContentHash(kSubset));
+  }
+  Response valid = dispatcher.Handle(MakeRequest("validate", kValidDoc));
+  ASSERT_TRUE(valid.status.ok()) << valid.status.ToString();
+  EXPECT_EQ(valid.headers.at("schema"), ContentHash(R"(
+<!ELEMENT bib (entry*)>
+<!ELEMENT entry EMPTY>
+<!ATTLIST entry isbn CDATA #REQUIRED>
+<!-- xic:constraints
+key entry.isbn
+-->
+)"));
+  // The two refusals keep their messages.
+  Response bare = dispatcher.Handle(MakeRequest("validate", "<bib/>"));
+  EXPECT_EQ(bare.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bare.status.message().find("document has no DOCTYPE"),
+            std::string::npos);
+  Response external = dispatcher.Handle(
+      MakeRequest("validate", "<!DOCTYPE bib SYSTEM \"bib.dtd\"><bib/>"));
+  EXPECT_EQ(external.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(external.status.message().find("DOCTYPE has no internal subset"),
+            std::string::npos);
+}
+
 TEST(DispatcherTest, ImplyIsMemoized) {
   Dispatcher dispatcher(FastOptions());
   Request imply = MakeRequest(
