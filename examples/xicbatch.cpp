@@ -27,10 +27,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "engine/batch_validator.h"
 #include "obs_cli.h"
+#include "read_file.h"
 #include "xic.h"
 
 namespace {
@@ -224,14 +224,10 @@ int main(int argc, char** argv) {
     schema_text = kGeneratedSchema;
     schema_name = "<generated>";
   } else {
-    std::ifstream in(files[0]);
-    if (!in) {
+    if (!ReadFile(files[0], &schema_text)) {
       std::cerr << files[0] << ": cannot open\n";
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    schema_text = buffer.str();
     schema_name = files[0];
   }
   XmlParseOptions schema_parse;
@@ -264,14 +260,12 @@ int main(int argc, char** argv) {
     }
   } else {
     for (const std::string& file : files) {
-      std::ifstream in(file);
-      if (!in) {
+      std::string text;
+      if (!ReadFile(file, &text)) {
         std::cerr << file << ": cannot open\n";
         return 2;
       }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      corpus.push_back({file, buffer.str()});
+      corpus.push_back({file, std::move(text)});
     }
   }
 

@@ -23,9 +23,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "obs_cli.h"
+#include "read_file.h"
 #include "xic.h"
 
 namespace {
@@ -54,14 +54,12 @@ void PrintMismatch(const FuzzMismatch& mismatch, const std::string& where) {
 }
 
 int ReplayFile(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(file, &text)) {
     std::cerr << file << ": cannot open\n";
     return 2;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<CorpusEntry> entry = ParseCorpusEntry(buffer.str());
+  Result<CorpusEntry> entry = ParseCorpusEntry(text);
   if (!entry.ok()) {
     std::cerr << file << ": " << entry.status() << "\n";
     return 2;

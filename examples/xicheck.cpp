@@ -2,27 +2,40 @@
 //
 // Usage:
 //   xicheck [options] file.xml [more.xml ...]    validate files
-//   xicheck --repair file.xml          validate, repair, print the result
 //   xicheck                            validate the built-in demo document
 //
-// Options: --max-depth N and --max-bytes N bound the input document
-// (0 = unlimited); --timeout-ms N bounds the wall-clock time spent on
-// each document.
+// Options:
+//   --repair           print the edits that restore consistency and the
+//                      repaired document (DOM mode only)
+//   --stream           read each file in chunks and check it without
+//                      building the tree: peak memory is bounded by the
+//                      spill budget, not the document size
+//   --spill-mb N       extent-log memory budget before spilling to disk,
+//                      in MiB (default 64)
+//   --max-depth N, --max-bytes N
+//                      bound the input document (0 = unlimited)
+//   --timeout-ms N     wall-clock budget per document
+//   --trace-out FILE, --metrics-out FILE, --stats
+//                      observability (examples/obs_cli.h)
 //
 // A "self-describing" document carries its DTD in the DOCTYPE internal
 // subset and (optionally) its constraint set in an embedded
-// "<!-- xic:constraints ... -->" block (see xml/dtdc_io.h). xicheck
-// reports structural validity (Definition 2.4), constraint satisfaction
+// "<!-- xic:constraints ... -->" block (see xml/dtdc_io.h). Each document
+// goes through one check, ValidateSelfDescribing
+// (engine/stream_validator.h); --stream only changes how the body is
+// fed to it, so both modes print the same bytes. xicheck reports
+// structural validity (Definition 2.4), constraint satisfaction
 // (G |= Sigma) and, with --repair, the edits needed to restore
-// consistency. Exit code: 0 valid, 1 invalid, 2 usage/parse/limit error.
+// consistency. The demo runs with --repair unless --stream is given.
+// Exit code: 0 valid, 1 invalid, 2 usage/parse/limit error.
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 
 #include "obs_cli.h"
+#include "read_file.h"
 #include "xic.h"
 
 namespace {
@@ -61,12 +74,8 @@ struct CheckConfig {
   uint64_t timeout_ms = 0;  // 0 = no deadline
 };
 
-// Streaming twin of CheckOne: same output bytes, same exit codes, but
-// the document never materializes -- peak memory is bounded by the
-// spill budget, not the document size. (--repair needs the tree and is
-// rejected up front in main.)
-int StreamCheckOne(const std::string& name, ByteSource& source,
-                   const CheckConfig& config) {
+int CheckOne(const std::string& name, ByteSource& source,
+             const CheckConfig& config) {
   StreamOptions options;
   options.validation.allow_missing_attributes = true;
   options.limits = config.limits;
@@ -74,24 +83,26 @@ int StreamCheckOne(const std::string& name, ByteSource& source,
                          ? Deadline::Infinite()
                          : Deadline::AfterMillis(config.timeout_ms);
   options.spill_budget_bytes = config.spill_mb << 20;
-  SelfDescribingStreamResult r = StreamValidateSelfDescribing(source, options);
+  SelfDescribingResult r =
+      ValidateSelfDescribing(source, options, config.stream);
   if (!r.outcome.parse.ok()) {
     std::cerr << name << ": " << r.outcome.parse << "\n";
     return 2;
   }
-  if (!r.has_dtd) {
+  if (!r.dtd.has_value()) {
     std::cerr << name << ": no DTD in the DOCTYPE; nothing to check\n";
     return 2;
   }
-  if (!r.outcome.structure.status.ok()) {
-    std::cerr << name << ": " << r.outcome.structure.status << "\n";
+  const ValidationReport& structure = r.outcome.structure;
+  if (!structure.status.ok()) {
+    std::cerr << name << ": " << structure.status << "\n";
     return 2;
   }
   int exit_code = 0;
   std::cout << name << ": structure "
-            << (r.outcome.structure.ok() ? "valid" : "INVALID") << "\n";
-  if (!r.outcome.structure.ok()) {
-    std::cout << r.outcome.structure.ToString();
+            << (structure.ok() ? "valid" : "INVALID") << "\n";
+  if (!structure.ok()) {
+    std::cout << structure.ToString();
     exit_code = 1;
   }
   if (!r.sigma.has_value()) {
@@ -104,99 +115,34 @@ int StreamCheckOne(const std::string& name, ByteSource& source,
               << "\n";
     return 2;
   }
-  if (!r.outcome.constraints.status.ok()) {
-    std::cerr << name << ": " << r.outcome.constraints.status << "\n";
-    return 2;
-  }
-  std::cout << name << ": " << sigma.constraints.size() << " constraints, "
-            << r.outcome.constraints.violations.size() << " violation(s)\n";
-  if (!r.outcome.constraints.ok()) {
-    std::cout << r.outcome.constraints.ToString(sigma);
-    exit_code = 1;
-  }
-  return exit_code;
-}
-
-int CheckOne(const std::string& name, const std::string& text,
-             const CheckConfig& config) {
-  bool repair = config.repair;
-  Deadline deadline = config.timeout_ms == 0
-                          ? Deadline::Infinite()
-                          : Deadline::AfterMillis(config.timeout_ms);
-  XmlParseOptions parse_options;
-  parse_options.limits = config.limits;
-  parse_options.deadline = deadline;
-  Result<SelfDescribingDocument> parsed =
-      ParseDocumentWithDtdC(text, parse_options);
-  if (!parsed.ok()) {
-    std::cerr << name << ": " << parsed.status() << "\n";
-    return 2;
-  }
-  SelfDescribingDocument& doc = parsed.value();
-  if (!doc.document.dtd.has_value()) {
-    std::cerr << name << ": no DTD in the DOCTYPE; nothing to check\n";
-    return 2;
-  }
-  const DtdStructure& dtd = *doc.document.dtd;
-  int exit_code = 0;
-
-  ValidationOptions validation;
-  validation.allow_missing_attributes = true;
-  validation.limits = config.limits;
-  StructuralValidator validator(dtd, validation);
-  ValidationReport structure = validator.Validate(doc.document.tree, deadline);
-  if (!structure.status.ok()) {
-    std::cerr << name << ": " << structure.status << "\n";
-    return 2;
-  }
-  std::cout << name << ": structure "
-            << (structure.ok() ? "valid" : "INVALID") << "\n";
-  if (!structure.ok()) {
-    std::cout << structure.ToString();
-    exit_code = 1;
-  }
-
-  if (!doc.sigma.has_value()) {
-    std::cout << name << ": no embedded constraints\n";
-    return exit_code;
-  }
-  const ConstraintSet& sigma = *doc.sigma;
-  if (Status wf = CheckWellFormed(sigma, dtd); !wf.ok()) {
-    std::cerr << name << ": constraint block ill-formed: " << wf << "\n";
-    return 2;
-  }
-  ConstraintChecker checker(dtd, sigma);
-  ConstraintReport report = checker.Check(doc.document.tree, deadline);
+  const ConstraintReport& report = r.outcome.constraints;
   if (!report.status.ok()) {
     std::cerr << name << ": " << report.status << "\n";
     return 2;
   }
   std::cout << name << ": " << sigma.constraints.size() << " constraints, "
             << report.violations.size() << " violation(s)\n";
-  if (!report.ok()) {
-    std::cout << report.ToString(sigma);
-    exit_code = 1;
-    if (repair) {
-      Result<RepairReport> repaired =
-          RepairDocument(&doc.document.tree, dtd, sigma);
-      if (!repaired.ok()) {
-        std::cerr << name << ": repair failed: " << repaired.status() << "\n";
-        return 2;
-      }
-      for (const std::string& action : repaired.value().actions) {
-        std::cout << "  repair: " << action << "\n";
-      }
-      if (repaired.value().fully_repaired()) {
-        std::cout << name << ": repaired document:\n"
-                  << WriteDocumentWithDtdC(doc.document.tree, dtd, sigma);
-        exit_code = 0;
-      } else {
-        std::cout << name << ": not fully repairable:\n"
-                  << repaired.value().remaining.ToString(sigma);
-      }
-    }
+  if (report.ok()) return exit_code;
+  std::cout << report.ToString(sigma);
+  if (!config.repair) return 1;
+  // --repair is refused with --stream, so the tree is here.
+  const DtdStructure& dtd = *r.dtd;
+  Result<RepairReport> repaired = RepairDocument(&*r.tree, dtd, sigma);
+  if (!repaired.ok()) {
+    std::cerr << name << ": repair failed: " << repaired.status() << "\n";
+    return 2;
   }
-  return exit_code;
+  for (const std::string& action : repaired.value().actions) {
+    std::cout << "  repair: " << action << "\n";
+  }
+  if (!repaired.value().fully_repaired()) {
+    std::cout << name << ": not fully repairable:\n"
+              << repaired.value().remaining.ToString(sigma);
+    return 1;
+  }
+  std::cout << name << ": repaired document:\n"
+            << WriteDocumentWithDtdC(*r.tree, dtd, sigma);
+  return 0;
 }
 
 bool ParseNumber(const char* text, unsigned long* out) {
@@ -271,38 +217,24 @@ int main(int argc, char** argv) {
     std::cout << "(no files given; checking the built-in demo, which has "
                  "one dangling reference)\n";
     CheckConfig demo = config;
-    int code;
-    if (config.stream) {
-      StringSource source(kDemo);
-      code = StreamCheckOne("<demo>", source, demo) == 2 ? 2 : 0;
-    } else {
-      demo.repair = true;
-      code = CheckOne("<demo>", kDemo, demo) == 2 ? 2 : 0;
-    }
+    demo.repair = !config.stream;
+    StringSource source(kDemo);
+    int code = CheckOne("<demo>", source, demo) == 2 ? 2 : 0;
     if (!obs_session.Finish()) return 2;
     return code;
   }
   int worst = 0;
   for (const std::string& file : files) {
+    std::optional<int> code;
     if (config.stream) {
       Result<FileSource> source = FileSource::Open(file);
-      if (!source.ok()) {
-        std::cerr << file << ": cannot open\n";
-        worst = std::max(worst, 2);
-        continue;
-      }
-      worst = std::max(worst, StreamCheckOne(file, source.value(), config));
-      continue;
+      if (source.ok()) code = CheckOne(file, source.value(), config);
+    } else if (std::string text; ReadFile(file, &text)) {
+      StringSource source(text);  // held once, tokenized in place
+      code = CheckOne(file, source, config);
     }
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << file << ": cannot open\n";
-      worst = std::max(worst, 2);
-      continue;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    worst = std::max(worst, CheckOne(file, buffer.str(), config));
+    if (!code.has_value()) std::cerr << file << ": cannot open\n";
+    worst = std::max(worst, code.value_or(2));
   }
   if (!obs_session.Finish()) worst = std::max(worst, 2);
   return worst;

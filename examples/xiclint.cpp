@@ -22,13 +22,12 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs_cli.h"
+#include "read_file.h"
 #include "xic.h"
 
 namespace {
@@ -147,15 +146,6 @@ bool ParseNumber(const char* text, unsigned long* out) {
   unsigned long value = std::strtoul(text, &end, 10);
   if (errno != 0 || end == text || *end != '\0') return false;
   *out = value;
-  return true;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
   return true;
 }
 

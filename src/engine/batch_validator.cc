@@ -27,7 +27,7 @@ std::string Fmt(const char* format, double a, double b = 0, double c = 0) {
 
 // Status codes that mean "the pipeline could not finish", as opposed to a
 // verdict about the document itself.
-bool IsInfrastructureStatus(const Status& s) {
+bool IsInfrastructure(const Status& s) {
   switch (s.code()) {
     case StatusCode::kResourceExhausted:
     case StatusCode::kDeadlineExceeded:
@@ -41,10 +41,27 @@ bool IsInfrastructureStatus(const Status& s) {
 
 }  // namespace
 
-bool DocumentOutcome::infrastructure_failure() const {
-  return !error.ok() || IsInfrastructureStatus(parse) ||
-         IsInfrastructureStatus(structure.status) ||
-         IsInfrastructureStatus(constraints.status);
+Status DocumentOutcome::infrastructure_status() const {
+  if (!error.ok()) return error;
+  for (const Status* s : {&parse, &structure.status, &constraints.status}) {
+    if (IsInfrastructure(*s)) return *s;
+  }
+  return Status::OK();
+}
+
+Verdict DocumentOutcome::verdict() const {
+  if (infrastructure_failure()) return Verdict::kInfrastructureFailure;
+  if (!parse.ok()) return Verdict::kParseError;
+  if (!structure.ok()) return Verdict::kInvalidStructure;
+  if (!constraints.ok()) return Verdict::kConstraintViolations;
+  return Verdict::kOk;
+}
+
+const char* VerdictName(Verdict verdict) {
+  static constexpr const char* kNames[] = {
+      "infrastructure_failure", "parse_error", "invalid_structure",
+      "constraint_violations", "ok"};
+  return kNames[static_cast<int>(verdict)];
 }
 
 std::string BatchStats::ToString() const {
@@ -129,14 +146,6 @@ bool HasCode(const DocumentOutcome& o, StatusCode code) {
          o.constraints.status.code() == code;
 }
 
-const char* Verdict(const DocumentOutcome& o) {
-  if (o.infrastructure_failure()) return "infrastructure_failure";
-  if (!o.parse.ok()) return "parse_error";
-  if (!o.structure.ok()) return "invalid_structure";
-  if (!o.constraints.ok()) return "constraint_violations";
-  return "ok";
-}
-
 }  // namespace
 
 std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
@@ -149,7 +158,7 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
     const DocumentOutcome& o = outcomes[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": " + JsonQuote(o.name);
-    out += ", \"verdict\": \"" + std::string(Verdict(o)) + "\"";
+    out += ", \"verdict\": \"" + std::string(VerdictName(o.verdict())) + "\"";
     out += ", \"attempts\": " + std::to_string(o.attempts);
     out += ", \"retries\": " + std::to_string(o.attempts - 1);
     out += ", \"vertices\": " + std::to_string(o.vertices);
@@ -433,17 +442,13 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
   report.stats.threads = threads;
   report.stats.documents = corpus.size();
   for (const DocumentOutcome& o : report.outcomes) {
-    if (o.ok()) ++report.stats.ok_documents;
     if (o.attempts > 1) report.stats.retries += o.attempts - 1;
-    if (o.infrastructure_failure()) {
-      ++report.stats.resource_failures;
-    } else if (!o.parse.ok()) {
-      ++report.stats.parse_failures;
-    } else if (!o.structure.ok()) {
-      ++report.stats.structurally_invalid;
-    } else if (!o.constraints.ok()) {
-      ++report.stats.constraint_violating;
-    }
+    // One bucket per Verdict, in enum order.
+    size_t* const buckets[] = {
+        &report.stats.resource_failures, &report.stats.parse_failures,
+        &report.stats.structurally_invalid,
+        &report.stats.constraint_violating, &report.stats.ok_documents};
+    ++*buckets[static_cast<int>(o.verdict())];
     report.stats.total_vertices += o.vertices;
     report.stats.total_violations +=
         o.structure.violations.size() + o.constraints.violations.size();

@@ -49,6 +49,20 @@ struct BatchDocument {
   std::string text;  // complete XML document
 };
 
+/// What became of one document, in precedence order: a pipeline that
+/// could not finish outranks every verdict on the document itself.
+enum class Verdict {
+  kInfrastructureFailure,
+  kParseError,
+  kInvalidStructure,
+  kConstraintViolations,
+  kOk,
+};
+
+/// "infrastructure_failure", "parse_error", "invalid_structure",
+/// "constraint_violations" or "ok" (the xicbatch --json and xicd spelling).
+const char* VerdictName(Verdict verdict);
+
 /// Everything the pipeline produced for one document.
 struct DocumentOutcome {
   std::string name;
@@ -77,10 +91,18 @@ struct DocumentOutcome {
     return error.ok() && parse.ok() && structure.ok() && constraints.ok();
   }
 
-  /// True when the pipeline could not run to a verdict: a fault/exception,
-  /// a resource limit, or a deadline -- as opposed to the document being
-  /// well-understood and invalid.
-  bool infrastructure_failure() const;
+  /// The status that kept the pipeline from a verdict -- a fault or
+  /// exception (`error`), else the first resource-limit, deadline,
+  /// unavailable or internal status among the stages -- or OK when it
+  /// reached one (the document may still be invalid).
+  Status infrastructure_status() const;
+  bool infrastructure_failure() const {
+    return !infrastructure_status().ok();
+  }
+
+  /// The one classification of an outcome, shared by ToJson, the stats
+  /// buckets and xicd.
+  Verdict verdict() const;
 };
 
 /// Aggregate counters and timings for one batch run.

@@ -277,7 +277,7 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
         done = true;
         break;
       case StreamEventKind::kDoctype:
-        break;  // consumed by the caller; cannot recur mid-content
+        break;  // ParseDoctypeDtd's; cannot recur mid-content
     }
     if (done) break;
     s = tok.Next(&ev);
@@ -326,93 +326,90 @@ StreamOutcome StreamValidator::Run(ByteSource& source,
   topt.chunk_bytes = options_.chunk_bytes;
   StreamTokenizer tok(source, topt);
   StreamEvent ev;
-  StreamOutcome out;
-  if (Status s = tok.Next(&ev); !s.ok()) {
-    out.parse = std::move(s);
+  Result<std::optional<DtdStructure>> doc_dtd =
+      ParseDoctypeDtd(tok, &ev, limits, deadline);
+  if (!doc_dtd.ok()) {
+    StreamOutcome out;
+    out.parse = doc_dtd.status();
     return out;
   }
   // The document's own internal subset overrides the compiled DTD for
-  // attribute tokenization only (DOM MakeAttrValue semantics); the
-  // validation plan stays precompiled.
-  std::optional<DtdStructure> doc_dtd;
-  const StreamEvent* pending = nullptr;
-  if (ev.kind == StreamEventKind::kDoctype) {
-    Result<std::optional<DtdStructure>> parsed =
-        ParseDoctypeDtd(ev, limits, deadline);
-    if (!parsed.ok()) {
-      out.parse = parsed.status();
-      return out;
-    }
-    doc_dtd = std::move(parsed).value();
-  } else {
-    pending = &ev;
-  }
-  return RunCore(tok, pending, doc_dtd.has_value() ? *doc_dtd : dtd_,
+  // attribute tokenization only (ParseXml semantics); the validation plan
+  // stays precompiled.
+  return RunCore(tok, &ev,
+                 doc_dtd.value().has_value() ? *doc_dtd.value() : dtd_,
                  deadline);
 }
 
-SelfDescribingStreamResult StreamValidateSelfDescribing(
-    ByteSource& source, const StreamOptions& options) {
-  SelfDescribingStreamResult r;
+SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
+                                            const StreamOptions& options,
+                                            bool stream) {
+  SelfDescribingResult r;
   StreamTokenizerOptions topt;
   topt.limits = options.limits;
   topt.deadline = options.deadline;
   topt.chunk_bytes = options.chunk_bytes;
   StreamTokenizer tok(source, topt);
+  // The DOCTYPE step: the subset's DTD, parsed once under the caller's
+  // limits and deadline, then its constraint block. A DTD error fails
+  // before any content is read; a tokenizer error anywhere in the
+  // document outranks a malformed block, so the block's error waits for
+  // a clean parse.
   StreamEvent ev;
-  Status s = tok.Next(&ev);
-  if (!s.ok()) {
-    r.outcome.parse = std::move(s);
+  Result<std::optional<DtdStructure>> dtd =
+      ParseDoctypeDtd(tok, &ev, options.limits, options.deadline);
+  if (!dtd.ok()) {
+    r.outcome.parse = dtd.status();
     return r;
   }
-  // The DOM pipeline parses the whole document before recovering the
-  // constraint block, so a tokenizer error anywhere outranks a malformed
-  // block: stash the block error and surface it only on a clean stream.
+  r.dtd = std::move(dtd).value();
   Status deferred = Status::OK();
-  const StreamEvent* pending = nullptr;
   if (ev.kind == StreamEventKind::kDoctype) {
     r.doctype_name = std::string(ev.name);
-    Result<std::optional<DtdStructure>> dtd =
-        ParseDoctypeDtd(ev, options.limits, options.deadline);
-    if (!dtd.ok()) {
-      // ParseXml fails the whole parse here, before any content.
-      r.outcome.parse = dtd.status();
-      return r;
+    Result<std::optional<ConstraintSet>> sigma =
+        ParseConstraintBlock(ev.internal_subset);
+    if (sigma.ok()) {
+      r.sigma = std::move(sigma).value();
+    } else {
+      deferred = sigma.status();
     }
-    r.dtd = std::move(dtd).value();
-    r.has_dtd = r.dtd.has_value();
-    if (!ev.internal_subset.empty()) {
-      Result<DtdC> dtdc =
-          ParseDtdC(std::string(ev.internal_subset), r.doctype_name);
-      if (!dtdc.ok()) {
-        deferred = dtdc.status();
-      } else {
-        r.sigma = std::move(dtdc.value().sigma);
-      }
-    }
-  } else {
-    pending = &ev;
   }
 
-  if (r.has_dtd) {
-    static const ConstraintSet kEmptySigma;
-    const ConstraintSet* sigma = &kEmptySigma;
-    if (r.sigma.has_value()) {
-      r.well_formed = CheckWellFormed(*r.sigma, *r.dtd);
-      if (r.well_formed.ok()) sigma = &*r.sigma;
-    }
-    StreamValidator sv(*r.dtd, *sigma, options);
-    r.outcome = sv.RunCore(tok, pending, *r.dtd, options.deadline);
-  } else {
-    // No DTD to validate against; still drain the stream so parse errors
-    // surface exactly as ParseXml reports them.
+  if (!r.dtd.has_value()) {
+    // Nothing to validate against; still drain the input so parse errors
+    // surface exactly as with a DTD.
+    Status s = Status::OK();
     while (s.ok() && ev.kind != StreamEventKind::kEndDocument) {
       s = tok.Next(&ev);
     }
-    if (!s.ok()) r.outcome.parse = std::move(s);
+    r.outcome.parse = std::move(s);
     r.outcome.stats.input_bytes = tok.consumed_bytes();
+    return r;
   }
-  if (r.outcome.parse.ok() && !deferred.ok()) r.outcome.parse = deferred;
+
+  static const ConstraintSet kEmptySigma;
+  const ConstraintSet* sigma = &kEmptySigma;
+  if (r.sigma.has_value()) {
+    r.well_formed = CheckWellFormed(*r.sigma, *r.dtd);
+    if (r.well_formed.ok()) sigma = &*r.sigma;
+  }
+  StreamValidator sv(*r.dtd, *sigma, options);
+  if (stream) {
+    r.outcome = sv.RunCore(tok, &ev, *r.dtd, options.deadline);
+  } else {
+    Result<DataTree> tree = BuildDataTree(tok, &ev, &*r.dtd,
+                                          options.skip_ignorable_whitespace);
+    r.outcome.stats.input_bytes = tok.consumed_bytes();
+    if (!tree.ok()) {
+      r.outcome.parse = tree.status();
+      return r;
+    }
+    r.tree = std::move(tree).value();
+    r.outcome.stats.vertices = r.tree->size();
+    r.outcome.structure = sv.validator().Validate(*r.tree, options.deadline);
+    r.outcome.constraints = sv.checker().Check(*r.tree, options.deadline);
+  }
+  if (r.outcome.parse.ok()) r.outcome.parse = std::move(deferred);
   return r;
 }
 

@@ -1,12 +1,12 @@
-// Bounded-memory streaming validation: the full xicheck pipeline --
-// structural validity (Definition 2.4) plus G |= Sigma -- evaluated over
-// a StreamTokenizer event stream, without ever materializing the
-// DataTree.
+// The full check of Definition 2.4 plus G |= Sigma, run over tokenizer
+// events or over a materialized tree from one compiled plan.
 //
-// This file only feeds tokenizer events to the checks. The checks are
-// the two halves the DOM path uses, StructureRun
-// (model/structural_validator.h) and ConstraintRun
-// (constraints/checker.h); events become their per-vertex calls:
+// StreamValidator is the plan for one schema: the DTD's automata
+// (StructuralValidator) and the constraint plan (ConstraintChecker),
+// compiled once. Its two halves, StructureRun (model/structural_validator.h)
+// and ConstraintRun (constraints/checker.h), are fed either by the tree
+// walks (validator().Validate, checker().Check) or, without ever
+// materializing the DataTree, by this file's event driver (Run):
 //
 //   * Structure: each open element carries a StructureRun::Vertex whose
 //     child word grows as child labels and qualifying text runs arrive;
@@ -23,10 +23,16 @@
 //     memory; DESIGN.md records the bound.)
 //
 // Vertex ids are ParseXml's pre-order AddVertex ids and both halves are
-// shared with the tree walks (Validate, Check), so
-// ValidationReport::ToString() and ConstraintReport::ToString() are
-// byte-identical to the materialized pipeline on every document (pinned
-// by the stream oracle in src/fuzzing/ and tests/stream_test.cc).
+// shared, so ValidationReport::ToString() and ConstraintReport::ToString()
+// are byte-identical in both modes on every document.
+//
+// ValidateSelfDescribing is the one check of a self-describing document
+// (DTD^C in the DOCTYPE internal subset, Definition 2.3), as xicheck runs
+// it: one DOCTYPE step (the subset parsed once, under the caller's
+// limits, then its constraint block), one compiled plan, and a choice of
+// body driver -- events (`stream`) or a DataTree built from the same
+// tokenizer. The stream fuzz oracle (src/fuzzing/oracles.h) compares the
+// two drivers byte for byte.
 
 #ifndef XIC_ENGINE_STREAM_VALIDATOR_H_
 #define XIC_ENGINE_STREAM_VALIDATOR_H_
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "constraints/checker.h"
+#include "model/data_tree.h"
 #include "model/structural_validator.h"
 #include "util/limits.h"
 #include "util/status.h"
@@ -88,7 +95,7 @@ struct StreamOutcome {
   }
 };
 
-struct SelfDescribingStreamResult;
+struct SelfDescribingResult;
 
 /// The compiled plan of the full check for one schema: the DTD's
 /// automata (StructuralValidator) and the constraint plan
@@ -121,11 +128,11 @@ class StreamValidator {
 
  private:
   friend class StreamRun;
-  friend SelfDescribingStreamResult StreamValidateSelfDescribing(
-      ByteSource& source, const StreamOptions& options);
+  friend SelfDescribingResult ValidateSelfDescribing(
+      ByteSource& source, const StreamOptions& options, bool stream);
 
-  /// Drives a tokenizer that already consumed any DOCTYPE. `pending` is
-  /// the first content event when the caller pulled one, `tok_dtd` the
+  /// Drives a tokenizer past its DOCTYPE step. `pending` is an event the
+  /// caller already pulled (a DOCTYPE is skipped), or null; `tok_dtd` the
   /// DTD governing attribute tokenization (the document's own internal
   /// subset when present, like ParseXml).
   StreamOutcome RunCore(StreamTokenizer& tok, const StreamEvent* pending,
@@ -138,25 +145,31 @@ class StreamValidator {
   ConstraintChecker checker_;
 };
 
-/// One-shot streaming check of a *self-describing* document (DTD^C in
-/// the DOCTYPE internal subset): the streaming twin of
-/// ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker, as
-/// xicheck --stream runs it.
-struct SelfDescribingStreamResult {
+/// The verdict on one self-describing document.
+struct SelfDescribingResult {
+  /// Parse status (tokenizer, DTD, then constraint block), structure and
+  /// constraint reports, and the run's counters.
   StreamOutcome outcome;
   std::string doctype_name;
-  /// The document carried an internal subset (otherwise there is nothing
-  /// to validate against and only `outcome.parse` is meaningful).
-  bool has_dtd = false;
+  /// The internal subset's DTD; nullopt when the document has none, and
+  /// then only `outcome.parse` is meaningful.
   std::optional<DtdStructure> dtd;
   /// Constraint set recovered from the subset's xic:constraints block.
   std::optional<ConstraintSet> sigma;
   /// CheckWellFormed(sigma, dtd) when sigma was recovered; constraints
-  /// are only evaluated when this is OK (mirroring xicheck's guard).
+  /// are only evaluated when this is OK.
   Status well_formed = Status::OK();
+  /// The document, in DOM mode once it parsed (for repair).
+  std::optional<DataTree> tree;
 };
-SelfDescribingStreamResult StreamValidateSelfDescribing(
-    ByteSource& source, const StreamOptions& options = {});
+
+/// Checks a self-describing document read from `source`. With `stream`
+/// the body feeds the plan event by event and memory stays bounded by
+/// the spill budget; otherwise the body becomes a DataTree that the same
+/// plan validates and checks. Both modes produce the same outcome bytes.
+SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
+                                            const StreamOptions& options,
+                                            bool stream);
 
 }  // namespace xic
 

@@ -584,24 +584,10 @@ OracleOutcome LintTrial(uint64_t seed, const GenOptions& opt) {
   return outcome;
 }
 
+}  // namespace
+
 // -- Oracle 6: streaming vs. materialized validation ----------------------
 
-// Comparable rendering of a structural report, witnesses included
-// (ToString() carries the vertex ids too, but keep the comparison
-// independent of its formatting).
-std::string RenderValidation(const ValidationReport& report) {
-  std::string out;
-  for (const Violation& v : report.violations) {
-    out += std::to_string(v.vertex) + "|" + v.message + "\n";
-  }
-  return out;
-}
-
-// Runs the full xicheck pipeline both ways -- materialized
-// (ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker) and
-// streaming (StreamValidateSelfDescribing) -- and demands byte-identical
-// verdicts at every stage. `text` need not be well-formed XML: a parse
-// failure is itself compared (same status text, same position).
 std::optional<std::string> CompareStream(const std::string& text,
                                          size_t spill_budget,
                                          bool allow_missing) {
@@ -610,76 +596,65 @@ std::optional<std::string> CompareStream(const std::string& text,
   sopt.spill_budget_bytes = spill_budget;
   // Tiny chunks so one text run regularly spans several kText events.
   sopt.chunk_bytes = 64;
-  ChunkedSource source(text);
-  SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
+  StringSource in_place(text);
+  SelfDescribingResult d =
+      ValidateSelfDescribing(in_place, sopt, /*stream=*/false);
+  ChunkedSource chunked(text);
+  SelfDescribingResult s =
+      ValidateSelfDescribing(chunked, sopt, /*stream=*/true);
 
-  Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
-  std::string dom_parse = parsed.ok() ? "OK" : parsed.status().ToString();
-  std::string stream_parse =
-      s.outcome.parse.ok() ? "OK" : s.outcome.parse.ToString();
-  if (dom_parse != stream_parse) {
-    return "parse status diverged:\n  DOM:    " + dom_parse +
-           "\n  stream: " + stream_parse;
+  // Stage by stage; the first one whose rendering differs is reported.
+  auto differ = [](const std::string& stage, const std::string& dom,
+                   const std::string& stream) -> std::optional<std::string> {
+    if (dom == stream) return std::nullopt;
+    return stage + " diverged:\n--- DOM ---\n" + dom + "\n--- stream ---\n" +
+           stream;
+  };
+  auto presence = [](bool present) { return present ? "present" : "absent"; };
+  const StreamOutcome& dom = d.outcome;
+  const StreamOutcome& str = s.outcome;
+  std::optional<std::string> detail =
+      differ("parse status", dom.parse.ToString(), str.parse.ToString());
+  if (!detail) {
+    detail = differ("DTD", presence(d.dtd.has_value()),
+                    presence(s.dtd.has_value()));
   }
-  if (!parsed.ok()) return std::nullopt;
-  const SelfDescribingDocument& doc = parsed.value();
-  if (doc.document.dtd.has_value() != s.has_dtd) {
-    return std::string("DTD presence diverged: DOM ") +
-           (doc.document.dtd.has_value() ? "has" : "lacks") +
-           " a DTD, stream " + (s.has_dtd ? "has" : "lacks") + " one";
+  if (!detail) {
+    detail = differ("structure status", dom.structure.status.ToString(),
+                    str.structure.status.ToString());
   }
-  if (!doc.document.dtd.has_value()) return std::nullopt;
-  const DtdStructure& dtd = *doc.document.dtd;
-
-  ValidationOptions vopt;
-  vopt.allow_missing_attributes = allow_missing;
-  StructuralValidator validator(dtd, vopt);
-  ValidationReport dom_structure = validator.Validate(doc.document.tree);
-  if (dom_structure.status.ToString() !=
-      s.outcome.structure.status.ToString()) {
-    return "structure status diverged:\n  DOM:    " +
-           dom_structure.status.ToString() +
-           "\n  stream: " + s.outcome.structure.status.ToString();
+  if (!detail) {
+    detail = differ("structure report", dom.structure.ToString(),
+                    str.structure.ToString());
   }
-  if (RenderValidation(dom_structure) !=
-          RenderValidation(s.outcome.structure) ||
-      dom_structure.ToString() != s.outcome.structure.ToString()) {
-    return "structure report diverged:\n--- DOM ---\n" +
-           dom_structure.ToString() + "--- stream ---\n" +
-           s.outcome.structure.ToString();
+  if (!detail) {
+    detail = differ("constraint block", presence(d.sigma.has_value()),
+                    presence(s.sigma.has_value()));
   }
-
-  if (doc.sigma.has_value() != s.sigma.has_value()) {
-    return std::string("constraint-block presence diverged: DOM ") +
-           (doc.sigma.has_value() ? "has" : "lacks") + " sigma, stream " +
-           (s.sigma.has_value() ? "has" : "lacks") + " sigma";
+  if (!detail) {
+    detail = differ("well-formedness status", d.well_formed.ToString(),
+                    s.well_formed.ToString());
   }
-  if (!doc.sigma.has_value()) return std::nullopt;
-  const ConstraintSet& sigma = *doc.sigma;
-  Status wf = CheckWellFormed(sigma, dtd);
-  if (wf.ToString() != s.well_formed.ToString()) {
-    return "well-formedness status diverged:\n  DOM:    " + wf.ToString() +
-           "\n  stream: " + s.well_formed.ToString();
+  if (!detail) {
+    detail = differ("constraint status", dom.constraints.status.ToString(),
+                    str.constraints.status.ToString());
   }
-  if (!wf.ok()) return std::nullopt;
-
-  ConstraintChecker checker(dtd, sigma);
-  ConstraintReport dom_report = checker.Check(doc.document.tree);
-  if (dom_report.status.ToString() !=
-      s.outcome.constraints.status.ToString()) {
-    return "constraint status diverged:\n  DOM:    " +
-           dom_report.status.ToString() +
-           "\n  stream: " + s.outcome.constraints.status.ToString();
+  // Witnesses and values included, which ToString(sigma) leaves out.
+  if (!detail) {
+    detail = differ(
+        "constraint report (spill budget " + std::to_string(spill_budget) +
+            ")",
+        RenderReport(dom.constraints), RenderReport(str.constraints));
   }
-  if (RenderReport(dom_report) != RenderReport(s.outcome.constraints) ||
-      dom_report.ToString(sigma) != s.outcome.constraints.ToString(sigma)) {
-    return "constraint report diverged (spill budget " +
-           std::to_string(spill_budget) + "):\n--- DOM ---\n" +
-           dom_report.ToString(sigma) + "--- stream ---\n" +
-           s.outcome.constraints.ToString(sigma);
+  if (!detail && d.sigma.has_value() && d.well_formed.ok()) {
+    detail = differ("rendered constraint report",
+                    dom.constraints.ToString(*d.sigma),
+                    str.constraints.ToString(*s.sigma));
   }
-  return std::nullopt;
+  return detail;
 }
+
+namespace {
 
 // Every committed stream entry is replayed across this budget/option
 // grid (the trial that found it used one random point of it).

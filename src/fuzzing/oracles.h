@@ -23,16 +23,16 @@
 //   kLint         xiclint determinism (two runs byte-identical) and
 //                 verdict invariance under a WriteDtdC / ParseDtdC
 //                 round-trip.
-//   kStream       the core fed by the tokenizer (StreamValidateSelfDescribing,
-//                 spill budgets from never-spill to spill-everything)
-//                 vs. the core fed by the parsed tree: parse status,
-//                 structure report and constraint report must agree
-//                 byte-for-byte, witnesses included. The DOM side
-//                 tokenizes in place, the stream side through the
-//                 smallest read chunks (ChunkedSource); a third of
-//                 trials corrupt the serialized bytes so the error texts
-//                 and positions of the tokenizer's two buffer modes are
-//                 compared too.
+//   kStream       ValidateSelfDescribing's two body drivers: events
+//                 (--stream, spill budgets from never-spill to
+//                 spill-everything) vs. a DataTree walked by Validate and
+//                 Check: parse status, structure report and constraint
+//                 report must agree byte-for-byte, witnesses included.
+//                 The DOM side tokenizes in place, the stream side
+//                 through the smallest read chunks (ChunkedSource); a
+//                 third of trials corrupt the serialized bytes so the
+//                 error texts and positions of the tokenizer's two
+//                 buffer modes are compared too.
 //
 // Every oracle has two entry points sharing one comparison core: a
 // seed-driven trial (generate inputs, compare) and a corpus replay
@@ -94,6 +94,15 @@ struct OracleOutcome {
   /// Replayable reproduction of the trial (filled on mismatch).
   CorpusEntry entry;
 };
+
+/// The kStream comparison on one document: ValidateSelfDescribing in DOM
+/// mode over the bytes in place vs. in stream mode over a ChunkedSource,
+/// at one spill budget and attribute mode. `text` need not parse: a
+/// failure is itself compared (same status text, same position).
+/// Returns a diagnosis of the first stage that differs, or nullopt.
+std::optional<std::string> CompareStream(const std::string& text,
+                                         size_t spill_budget,
+                                         bool allow_missing);
 
 /// Runs one seed-driven trial of `oracle`.
 OracleOutcome RunTrial(OracleId oracle, uint64_t seed, const GenOptions& opt);

@@ -64,34 +64,6 @@ bool ParseU64(const std::string& text, uint64_t* out) {
   return true;
 }
 
-/// Status of the first infrastructure failure in a single-document
-/// outcome, or OK when the pipeline reached a verdict.
-Status InfraStatus(const DocumentOutcome& outcome) {
-  auto infra = [](const Status& s) {
-    switch (s.code()) {
-      case StatusCode::kResourceExhausted:
-      case StatusCode::kDeadlineExceeded:
-      case StatusCode::kUnavailable:
-      case StatusCode::kInternal:
-        return true;
-      default:
-        return false;
-    }
-  };
-  if (!outcome.error.ok()) return outcome.error;
-  if (infra(outcome.parse)) return outcome.parse;
-  if (infra(outcome.structure.status)) return outcome.structure.status;
-  if (infra(outcome.constraints.status)) return outcome.constraints.status;
-  return Status::OK();
-}
-
-const char* VerdictOf(const DocumentOutcome& o) {
-  if (!o.parse.ok()) return "parse_error";
-  if (!o.structure.ok()) return "invalid_structure";
-  if (!o.constraints.ok()) return "constraint_violations";
-  return "ok";
-}
-
 }  // namespace
 
 Dispatcher::Dispatcher(DispatcherOptions options)
@@ -403,12 +375,12 @@ Response Dispatcher::DoValidate(const Request& request,
   }
   const DocumentOutcome& outcome = report.outcomes[0];
   Response response;
-  response.status = InfraStatus(outcome);
+  response.status = outcome.infrastructure_status();
   response.headers["schema"] = plan.value()->key;
   response.headers["cache"] = cache_hit ? "hit" : "miss";
   if (stream) response.headers["mode"] = "stream";
   if (response.status.ok()) {
-    response.headers["verdict"] = VerdictOf(outcome);
+    response.headers["verdict"] = VerdictName(outcome.verdict());
   } else {
     response.headers["error"] = HeaderSafe(response.status.message());
   }

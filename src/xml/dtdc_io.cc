@@ -68,39 +68,44 @@ std::string WriteDtdC(const DtdStructure& dtd, const ConstraintSet& sigma) {
   return dtd.ToString() + WriteConstraintBlock(sigma);
 }
 
+Result<std::optional<ConstraintSet>> ParseConstraintBlock(
+    std::string_view dtd_text) {
+  size_t start = dtd_text.find(kBlockStart);
+  if (start == std::string_view::npos) {
+    return std::optional<ConstraintSet>();
+  }
+  size_t header_end = start + std::string_view(kBlockStart).size();
+  size_t end = dtd_text.find(kBlockEnd, header_end);
+  if (end == std::string_view::npos) {
+    return Status::ParseError("unterminated xic:constraints block");
+  }
+  // Optional "language=..." tag on the first line.
+  Language lang = Language::kLu;
+  std::string_view rest =
+      StripWhitespace(dtd_text.substr(header_end, end - header_end));
+  if (StartsWith(rest, "language=")) {
+    size_t eol = rest.find_first_of(" \t\n");
+    std::string_view tag = rest.substr(9, eol == std::string_view::npos
+                                              ? std::string_view::npos
+                                              : eol - 9);
+    std::optional<Language> parsed = ParseLanguageTag(tag);
+    if (!parsed.has_value()) {
+      return Status::ParseError("unknown constraint language tag \"" +
+                                std::string(tag) + "\"");
+    }
+    lang = *parsed;
+    rest = eol == std::string_view::npos ? std::string_view()
+                                         : rest.substr(eol);
+  }
+  XIC_ASSIGN_OR_RETURN(ConstraintSet sigma,
+                       ParseConstraintSet(std::string(rest), lang));
+  return std::optional<ConstraintSet>(std::move(sigma));
+}
+
 Result<DtdC> ParseDtdC(const std::string& text, const std::string& root) {
   DtdC out;
   XIC_ASSIGN_OR_RETURN(out.dtd, ParseDtd(text, root));
-  size_t start = text.find(kBlockStart);
-  if (start != std::string::npos) {
-    size_t header_end = start + std::string(kBlockStart).size();
-    size_t end = text.find(kBlockEnd, header_end);
-    if (end == std::string::npos) {
-      return Status::ParseError("unterminated xic:constraints block");
-    }
-    std::string body = text.substr(header_end, end - header_end);
-    // Optional "language=..." tag on the first line.
-    Language lang = Language::kLu;
-    std::string_view rest = StripWhitespace(body);
-    if (StartsWith(rest, "language=")) {
-      size_t eol = rest.find_first_of(" \t\n");
-      std::string_view tag = rest.substr(9, eol == std::string_view::npos
-                                                ? std::string_view::npos
-                                                : eol - 9);
-      std::optional<Language> parsed = ParseLanguageTag(tag);
-      if (!parsed.has_value()) {
-        return Status::ParseError("unknown constraint language tag \"" +
-                                  std::string(tag) + "\"");
-      }
-      lang = *parsed;
-      rest = eol == std::string_view::npos ? std::string_view()
-                                           : rest.substr(eol);
-    }
-    XIC_ASSIGN_OR_RETURN(
-        ConstraintSet sigma,
-        ParseConstraintSet(std::string(rest), lang));
-    out.sigma = std::move(sigma);
-  }
+  XIC_ASSIGN_OR_RETURN(out.sigma, ParseConstraintBlock(text));
   return out;
 }
 
@@ -126,12 +131,10 @@ Result<SelfDescribingDocument> ParseDocumentWithDtdC(
     const std::string& text, const XmlParseOptions& options) {
   SelfDescribingDocument out;
   XIC_ASSIGN_OR_RETURN(out.document, ParseXml(text, options));
-  if (!out.document.internal_subset.empty()) {
-    XIC_ASSIGN_OR_RETURN(DtdC dtdc,
-                         ParseDtdC(out.document.internal_subset,
-                                   out.document.doctype_name));
-    out.sigma = std::move(dtdc.sigma);
-  }
+  // ParseXml already parsed the subset's DTD under the caller's limits;
+  // only the constraint block is left to read.
+  XIC_ASSIGN_OR_RETURN(out.sigma,
+                       ParseConstraintBlock(out.document.internal_subset));
   return out;
 }
 

@@ -22,6 +22,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "constraints/constraint.h"
 #include "model/dtd_structure.h"
@@ -46,7 +47,14 @@ std::string WriteConstraintBlock(const ConstraintSet& sigma);
 /// DTD declarations followed by the constraint block.
 std::string WriteDtdC(const DtdStructure& dtd, const ConstraintSet& sigma);
 
-/// Parses DTD text, recovering an embedded constraint block if present.
+/// Reads the constraint block out of DTD text (an internal subset or a
+/// .dtd file): nullopt when the text has no block. Only the block is
+/// read; the declarations around it are the DTD parser's business.
+Result<std::optional<ConstraintSet>> ParseConstraintBlock(
+    std::string_view dtd_text);
+
+/// Parses DTD text, recovering an embedded constraint block if present:
+/// ParseDtd (default limits) plus ParseConstraintBlock.
 Result<DtdC> ParseDtdC(const std::string& text, const std::string& root);
 
 /// A complete self-describing document: XML with a DOCTYPE internal
@@ -56,7 +64,8 @@ std::string WriteDocumentWithDtdC(const DataTree& tree,
                                   const ConstraintSet& sigma);
 
 /// Parses a document and recovers the constraint set from its internal
-/// subset (sigma is nullopt when the subset has no xic block).
+/// subset (sigma is nullopt when the subset has no xic block). The subset
+/// is parsed once, by ParseXml under options.limits and options.deadline.
 struct SelfDescribingDocument {
   XmlDocument document;
   std::optional<ConstraintSet> sigma;

@@ -13,52 +13,43 @@ namespace xic {
 
 namespace {
 
-// Drains the tokenizer into a DataTree: one vertex per start tag, one
-// string child per text run (consecutive kText chunks aggregated).
-Result<XmlDocument> BuildTree(const std::string& text,
-                              const XmlParseOptions& options) {
-  StringSource source(text);
-  StreamTokenizerOptions topt;
-  topt.limits = options.limits;
-  topt.deadline = options.deadline;
-  StreamTokenizer tok(source, topt);
-  XmlDocument doc;
+Result<DataTree> DrainIntoTree(StreamTokenizer& tok,
+                               const StreamEvent* pending,
+                               const DtdStructure* dtd,
+                               bool skip_ignorable_whitespace) {
+  DataTree tree;
   std::vector<VertexId> open;  // open elements, root first
   std::string run;             // pending character data
   bool run_space = true;       // every chunk of `run` was all XML S
   auto flush_text = [&] {
     if (run.empty()) return;
-    if (!(options.skip_ignorable_whitespace && run_space)) {
-      doc.tree.AddChildText(open.back(), std::move(run));
+    if (!(skip_ignorable_whitespace && run_space)) {
+      tree.AddChildText(open.back(), std::move(run));
     }
     run.clear();
     run_space = true;
   };
   StreamEvent ev;
+  const StreamEvent* cur = pending;
   while (true) {
-    XIC_RETURN_IF_ERROR(tok.Next(&ev));
-    switch (ev.kind) {
-      case StreamEventKind::kDoctype: {
-        doc.doctype_name.assign(ev.name);
-        XIC_ASSIGN_OR_RETURN(
-            doc.dtd, ParseDoctypeDtd(ev, options.limits, options.deadline));
-        doc.internal_subset.assign(ev.internal_subset);
-        break;
-      }
+    if (cur == nullptr) {
+      XIC_RETURN_IF_ERROR(tok.Next(&ev));
+      cur = &ev;
+    }
+    switch (cur->kind) {
+      case StreamEventKind::kDoctype:
+        break;  // ParseDoctypeDtd's; cannot recur mid-content
       case StreamEventKind::kStartElement: {
         flush_text();
-        VertexId v = doc.tree.AddVertex(ev.name);
+        VertexId v = tree.AddVertex(cur->name);
         if (!open.empty()) {
-          XIC_RETURN_IF_ERROR(doc.tree.AddChildVertex(open.back(), v));
+          XIC_RETURN_IF_ERROR(tree.AddChildVertex(open.back(), v));
         }
-        // The document's own internal subset overrides options.dtd.
-        const DtdStructure* dtd =
-            doc.dtd.has_value() ? &*doc.dtd : options.dtd;
-        for (const StreamEvent::Attr& a : ev.attrs) {
+        for (const StreamEvent::Attr& a : cur->attrs) {
           bool set_valued =
-              dtd != nullptr && dtd->IsSetValued(ev.name, a.name);
-          doc.tree.SetAttribute(v, a.name,
-                                TokenizeAttrValue(a.value, set_valued));
+              dtd != nullptr && dtd->IsSetValued(cur->name, a.name);
+          tree.SetAttribute(v, a.name,
+                            TokenizeAttrValue(a.value, set_valued));
         }
         open.push_back(v);
         break;
@@ -68,27 +59,54 @@ Result<XmlDocument> BuildTree(const std::string& text,
         open.pop_back();
         break;
       case StreamEventKind::kText:
-        run.append(ev.text);
-        run_space = run_space && ev.text_all_space;
+        run.append(cur->text);
+        run_space = run_space && cur->text_all_space;
         break;
       case StreamEventKind::kEndDocument:
-        return doc;
+        return tree;
     }
+    cur = nullptr;
   }
 }
 
 }  // namespace
 
+Result<DataTree> BuildDataTree(StreamTokenizer& tok,
+                               const StreamEvent* pending,
+                               const DtdStructure* dtd,
+                               bool skip_ignorable_whitespace) {
+  obs::ScopedSpan span("xml.parse", "xml");
+  XIC_COUNTER_ADD("xml.parse.calls", 1);
+  Result<DataTree> tree =
+      DrainIntoTree(tok, pending, dtd, skip_ignorable_whitespace);
+  const uint64_t bytes = tok.consumed_bytes();
+  span.AddInt("bytes", static_cast<int64_t>(bytes));
+  XIC_COUNTER_ADD("xml.parse.bytes", bytes);
+  XIC_HISTOGRAM_OBSERVE("xml.parse.bytes_per_doc", bytes,
+                        {1024.0, 16384.0, 262144.0, 4194304.0});
+  if (tree.ok()) {
+    span.AddInt("vertices", static_cast<int64_t>(tree.value().size()));
+  } else {
+    XIC_COUNTER_ADD("xml.parse.errors", 1);
+    span.AddString("error", tree.status().ToString());
+  }
+  return tree;
+}
+
 Result<std::optional<DtdStructure>> ParseDoctypeDtd(
-    const StreamEvent& doctype, const ResourceLimits& limits,
+    StreamTokenizer& tok, StreamEvent* first, const ResourceLimits& limits,
     const Deadline& deadline) {
-  if (!doctype.has_internal_subset) return std::optional<DtdStructure>();
+  XIC_RETURN_IF_ERROR(tok.Next(first));
+  if (first->kind != StreamEventKind::kDoctype ||
+      !first->has_internal_subset) {
+    return std::optional<DtdStructure>();
+  }
   DtdParseOptions options;
   options.limits = limits;
   options.deadline = deadline;
   XIC_ASSIGN_OR_RETURN(DtdStructure dtd,
-                       ParseDtd(std::string(doctype.internal_subset),
-                                std::string(doctype.name), options));
+                       ParseDtd(std::string(first->internal_subset),
+                                std::string(first->name), options));
   return std::optional<DtdStructure>(std::move(dtd));
 }
 
@@ -180,21 +198,26 @@ AttrValue TokenizeAttrValue(std::string_view raw, bool set_valued) {
 
 Result<XmlDocument> ParseXml(const std::string& text,
                              const XmlParseOptions& options) {
-  obs::ScopedSpan span("xml.parse", "xml");
-  span.AddInt("bytes", static_cast<int64_t>(text.size()));
-  XIC_COUNTER_ADD("xml.parse.calls", 1);
-  XIC_COUNTER_ADD("xml.parse.bytes", text.size());
-  XIC_HISTOGRAM_OBSERVE("xml.parse.bytes_per_doc", text.size(),
-                        {1024.0, 16384.0, 262144.0, 4194304.0});
-  Result<XmlDocument> result = BuildTree(text, options);
-  if (result.ok()) {
-    span.AddInt("vertices",
-                static_cast<int64_t>(result.value().tree.size()));
-  } else {
-    XIC_COUNTER_ADD("xml.parse.errors", 1);
-    span.AddString("error", result.status().ToString());
+  StringSource source(text);
+  StreamTokenizerOptions topt;
+  topt.limits = options.limits;
+  topt.deadline = options.deadline;
+  StreamTokenizer tok(source, topt);
+  XmlDocument doc;
+  StreamEvent ev;
+  XIC_ASSIGN_OR_RETURN(
+      doc.dtd, ParseDoctypeDtd(tok, &ev, options.limits, options.deadline));
+  if (ev.kind == StreamEventKind::kDoctype) {
+    doc.doctype_name.assign(ev.name);
+    doc.internal_subset.assign(ev.internal_subset);
   }
-  return result;
+  // The document's own internal subset overrides options.dtd.
+  XIC_ASSIGN_OR_RETURN(
+      doc.tree,
+      BuildDataTree(tok, &ev,
+                    doc.dtd.has_value() ? &*doc.dtd : options.dtd,
+                    options.skip_ignorable_whitespace));
+  return doc;
 }
 
 }  // namespace xic

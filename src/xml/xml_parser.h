@@ -25,6 +25,7 @@
 namespace xic {
 
 struct StreamEvent;
+class StreamTokenizer;
 
 struct XmlParseOptions {
   /// Drop text nodes consisting only of whitespace (layout between tags).
@@ -55,12 +56,24 @@ struct XmlDocument {
 Result<XmlDocument> ParseXml(const std::string& text,
                              const XmlParseOptions& options = {});
 
-/// The DTD declared by a kDoctype event's internal subset, or nullopt
-/// when the DOCTYPE has no '['. The one DOCTYPE -> DTD step, shared by
-/// ParseXml and the streaming validator's entry points.
+/// The one DOCTYPE step, shared by ParseXml and the validator entry
+/// points (engine/stream_validator.h): pulls `tok`'s first event into
+/// *first and returns the DTD its internal subset declares, parsed under
+/// `limits` and `deadline`; nullopt when there is no DOCTYPE or it has no
+/// '['. *first stays valid until the next tok.Next().
 Result<std::optional<DtdStructure>> ParseDoctypeDtd(
-    const StreamEvent& doctype, const ResourceLimits& limits,
+    StreamTokenizer& tok, StreamEvent* first, const ResourceLimits& limits,
     const Deadline& deadline);
+
+/// Builds the data tree from `pending` (an event already pulled, or
+/// null; a DOCTYPE is skipped) and the rest of `tok`'s events: one vertex
+/// per start tag (pre-order ids), one string child per text run. Values
+/// of attributes `dtd` declares set-valued are split into sets (dtd may
+/// be null). ValidateSelfDescribing drives it in DOM mode.
+Result<DataTree> BuildDataTree(StreamTokenizer& tok,
+                               const StreamEvent* pending,
+                               const DtdStructure* dtd,
+                               bool skip_ignorable_whitespace);
 
 /// Tokenizes a normalized attribute value into the paper's set-of-values
 /// form: split on XML S whitespace when `set_valued` (IDREFS / NMTOKENS),

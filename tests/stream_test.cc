@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,8 +346,8 @@ TEST(XmlConformance, DeepDocumentParsesWithoutRecursion) {
   StreamOptions sopt;
   sopt.limits.max_tree_depth = kDepth + 1;
   StringSource source(text);
-  SelfDescribingStreamResult stream =
-      StreamValidateSelfDescribing(source, sopt);
+  SelfDescribingResult stream =
+      ValidateSelfDescribing(source, sopt, /*stream=*/true);
   ASSERT_TRUE(stream.outcome.parse.ok()) << stream.outcome.parse;
   EXPECT_EQ(stream.outcome.stats.vertices, kDepth);
   EXPECT_TRUE(stream.outcome.structure.ok())
@@ -355,66 +356,9 @@ TEST(XmlConformance, DeepDocumentParsesWithoutRecursion) {
 
 // -- DOM / stream verdict parity ------------------------------------------
 
-// Runs the xicheck pipeline both ways and demands byte-identical
-// verdicts at every stage; returns an explanation on divergence.
-testing::AssertionResult VerdictsAgree(const std::string& text,
-                                       size_t spill_budget,
-                                       bool allow_missing) {
-  StreamOptions sopt;
-  sopt.validation.allow_missing_attributes = allow_missing;
-  sopt.spill_budget_bytes = spill_budget;
-  sopt.chunk_bytes = 96;
-  fuzz::ChunkedSource source(text);
-  SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
-
-  Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
-  std::string dom_parse = parsed.ok() ? "OK" : parsed.status().ToString();
-  std::string stream_parse =
-      s.outcome.parse.ok() ? "OK" : s.outcome.parse.ToString();
-  if (dom_parse != stream_parse) {
-    return testing::AssertionFailure() << "parse status: DOM \"" << dom_parse
-                                       << "\" vs stream \"" << stream_parse
-                                       << "\"";
-  }
-  if (!parsed.ok()) return testing::AssertionSuccess();
-  const SelfDescribingDocument& doc = parsed.value();
-  if (doc.document.dtd.has_value() != s.has_dtd) {
-    return testing::AssertionFailure() << "DTD presence diverged";
-  }
-  if (!doc.document.dtd.has_value()) return testing::AssertionSuccess();
-  const DtdStructure& dtd = *doc.document.dtd;
-
-  ValidationOptions vopt;
-  vopt.allow_missing_attributes = allow_missing;
-  StructuralValidator validator(dtd, vopt);
-  ValidationReport dom_structure = validator.Validate(doc.document.tree);
-  if (dom_structure.ToString() != s.outcome.structure.ToString()) {
-    return testing::AssertionFailure()
-           << "structure reports:\n--- DOM ---\n" << dom_structure.ToString()
-           << "--- stream ---\n" << s.outcome.structure.ToString();
-  }
-  if (doc.sigma.has_value() != s.sigma.has_value()) {
-    return testing::AssertionFailure() << "sigma presence diverged";
-  }
-  if (!doc.sigma.has_value()) return testing::AssertionSuccess();
-  const ConstraintSet& sigma = *doc.sigma;
-  Status wf = CheckWellFormed(sigma, dtd);
-  if (wf.ToString() != s.well_formed.ToString()) {
-    return testing::AssertionFailure()
-           << "well-formedness: DOM \"" << wf.ToString() << "\" vs stream \""
-           << s.well_formed.ToString() << "\"";
-  }
-  if (!wf.ok()) return testing::AssertionSuccess();
-  ConstraintChecker checker(dtd, sigma);
-  ConstraintReport dom_report = checker.Check(doc.document.tree);
-  if (dom_report.ToString(sigma) != s.outcome.constraints.ToString(sigma)) {
-    return testing::AssertionFailure()
-           << "constraint reports (spill budget " << spill_budget
-           << "):\n--- DOM ---\n" << dom_report.ToString(sigma)
-           << "--- stream ---\n" << s.outcome.constraints.ToString(sigma);
-  }
-  return testing::AssertionSuccess();
-}
+// The parity checks below run the stream fuzz oracle's comparison
+// (fuzz::CompareStream): the one self-describing check in DOM mode over
+// the bytes in place vs. in stream mode over small read chunks.
 
 TEST(StreamParity, EveryCommittedCorpusDocumentAgrees) {
   size_t seen = 0;
@@ -430,11 +374,14 @@ TEST(StreamParity, EveryCommittedCorpusDocumentAgrees) {
     // Every committed document -- whatever oracle family it pins -- must
     // validate identically both ways, spilling or not.
     for (size_t budget : {size_t{0}, size_t{1}}) {
-      EXPECT_TRUE(VerdictsAgree(entry.value().document, budget, true))
-          << it.path() << " (spill budget " << budget << ")";
-      EXPECT_TRUE(VerdictsAgree(entry.value().document, budget, false))
-          << it.path() << " (strict attributes, spill budget " << budget
-          << ")";
+      for (bool allow_missing : {true, false}) {
+        std::optional<std::string> detail = fuzz::CompareStream(
+            entry.value().document, budget, allow_missing);
+        EXPECT_FALSE(detail.has_value())
+            << it.path() << " (spill budget " << budget
+            << ", allow_missing " << allow_missing
+            << "): " << detail.value_or("");
+      }
     }
   }
   EXPECT_GE(seen, 12u) << "corpus directory went missing?";
@@ -474,7 +421,8 @@ TEST(StreamSpill, CrossingTheBudgetSpillsAndPreservesTheVerdict) {
   keep.validation.allow_missing_attributes = true;
   keep.spill_budget_bytes = 0;
   StringSource s1(text);
-  SelfDescribingStreamResult in_memory = StreamValidateSelfDescribing(s1, keep);
+  SelfDescribingResult in_memory =
+      ValidateSelfDescribing(s1, keep, /*stream=*/true);
   ASSERT_TRUE(in_memory.outcome.parse.ok()) << in_memory.outcome.parse;
   EXPECT_EQ(in_memory.outcome.stats.spilled_bytes, 0u);
   ASSERT_TRUE(in_memory.sigma.has_value());
@@ -484,7 +432,8 @@ TEST(StreamSpill, CrossingTheBudgetSpillsAndPreservesTheVerdict) {
   StreamOptions spill = keep;
   spill.spill_budget_bytes = 4096;
   StringSource s2(text);
-  SelfDescribingStreamResult spilled = StreamValidateSelfDescribing(s2, spill);
+  SelfDescribingResult spilled =
+      ValidateSelfDescribing(s2, spill, /*stream=*/true);
   ASSERT_TRUE(spilled.outcome.parse.ok()) << spilled.outcome.parse;
   EXPECT_GT(spilled.outcome.stats.spilled_bytes, 0u);
   EXPECT_GT(spilled.outcome.stats.spill_runs, 0u);
@@ -494,7 +443,8 @@ TEST(StreamSpill, CrossingTheBudgetSpillsAndPreservesTheVerdict) {
   EXPECT_EQ(in_memory.outcome.constraints.ToString(*in_memory.sigma),
             spilled.outcome.constraints.ToString(*spilled.sigma));
   // And both agree with the materialized checker.
-  EXPECT_TRUE(VerdictsAgree(text, 4096, true));
+  std::optional<std::string> detail = fuzz::CompareStream(text, 4096, true);
+  EXPECT_FALSE(detail.has_value()) << detail.value_or("");
 }
 
 TEST(StreamParity, TruncationAndStrictAttributesMatch) {
@@ -516,26 +466,20 @@ TEST(StreamParity, TruncationAndStrictAttributesMatch) {
     sopt.validation.allow_missing_attributes = allow_missing;
     sopt.validation.max_violations = 2;
     sopt.check.max_violations = 1;
-    StringSource source(text);
-    SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
+    StringSource in_place(text);
+    SelfDescribingResult d =
+        ValidateSelfDescribing(in_place, sopt, /*stream=*/false);
+    StringSource streamed(text);
+    SelfDescribingResult s =
+        ValidateSelfDescribing(streamed, sopt, /*stream=*/true);
+    ASSERT_TRUE(d.outcome.parse.ok()) << d.outcome.parse;
     ASSERT_TRUE(s.outcome.parse.ok()) << s.outcome.parse;
-
-    Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    ValidationOptions vopt;
-    vopt.allow_missing_attributes = allow_missing;
-    vopt.max_violations = 2;
-    StructuralValidator validator(*parsed.value().document.dtd, vopt);
-    EXPECT_EQ(validator.Validate(parsed.value().document.tree).ToString(),
-              s.outcome.structure.ToString());
-    CheckOptions copt;
-    copt.max_violations = 1;
-    ConstraintChecker checker(*parsed.value().document.dtd,
-                              *parsed.value().sigma, copt);
-    EXPECT_EQ(
-        checker.Check(parsed.value().document.tree).ToString(
-            *parsed.value().sigma),
-        s.outcome.constraints.ToString(*s.sigma));
+    ASSERT_TRUE(d.sigma.has_value() && s.sigma.has_value());
+    EXPECT_EQ(d.outcome.structure.violations.size(), 2u);
+    EXPECT_EQ(d.outcome.structure.ToString(), s.outcome.structure.ToString());
+    EXPECT_EQ(d.outcome.constraints.violations.size(), 1u);
+    EXPECT_EQ(d.outcome.constraints.ToString(*d.sigma),
+              s.outcome.constraints.ToString(*s.sigma));
   }
 }
 
@@ -569,12 +513,55 @@ TEST(StreamValidator, PrecompiledPlanRunsManyDocuments) {
 }
 
 TEST(StreamValidator, DocumentWithoutSubsetHasNoDtd) {
+  for (bool stream : {false, true}) {
+    StringSource source("<!DOCTYPE r>\n<r>anything</r>");
+    SelfDescribingResult s = ValidateSelfDescribing(source, {}, stream);
+    EXPECT_TRUE(s.outcome.parse.ok()) << s.outcome.parse;
+    EXPECT_EQ(s.doctype_name, "r");
+    EXPECT_FALSE(s.dtd.has_value());
+    EXPECT_FALSE(s.tree.has_value());
+  }
+}
+
+TEST(SelfDescribing, CallerLimitsGovernTheSubsetInBothModes) {
+  // The internal subset is parsed once, under the caller's limits: a
+  // content model nested deeper than the default max_content_model_depth
+  // (256) passes when the caller raises the limit.
+  constexpr int kDepth = 300;
+  std::string model = std::string(kDepth, '(') + "a" +
+                      std::string(kDepth, ')');
+  std::string text =
+      "<!DOCTYPE r [\n"
+      "<!ELEMENT r " + model + ">\n"
+      "<!ELEMENT a EMPTY>\n"
+      "<!ATTLIST a k CDATA #REQUIRED>\n"
+      "<!-- xic:constraints language=L_u\n  key a.k\n-->\n"
+      "]>\n"
+      "<r><a k=\"1\"/></r>\n";
   StreamOptions options;
-  StringSource source("<!DOCTYPE r>\n<r>anything</r>");
-  SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, options);
-  EXPECT_TRUE(s.outcome.parse.ok()) << s.outcome.parse;
-  EXPECT_EQ(s.doctype_name, "r");
-  EXPECT_FALSE(s.has_dtd);
+  options.limits.max_content_model_depth = 1000;
+  for (bool stream : {false, true}) {
+    StringSource source(text);
+    SelfDescribingResult r = ValidateSelfDescribing(source, options, stream);
+    ASSERT_TRUE(r.outcome.parse.ok()) << r.outcome.parse;
+    ASSERT_TRUE(r.sigma.has_value());
+    EXPECT_TRUE(r.well_formed.ok()) << r.well_formed;
+    EXPECT_TRUE(r.outcome.ok()) << r.outcome.structure.ToString();
+  }
+  XmlParseOptions parse_options;
+  parse_options.limits.max_content_model_depth = 1000;
+  Result<SelfDescribingDocument> doc =
+      ParseDocumentWithDtdC(text, parse_options);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_TRUE(doc.value().sigma.has_value());
+
+  // The default limit still rejects it, in both modes.
+  for (bool stream : {false, true}) {
+    StringSource source(text);
+    SelfDescribingResult r = ValidateSelfDescribing(source, {}, stream);
+    EXPECT_EQ(r.outcome.parse.code(), StatusCode::kResourceExhausted)
+        << r.outcome.parse;
+  }
 }
 
 }  // namespace
