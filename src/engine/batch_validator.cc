@@ -136,14 +136,22 @@ std::string BatchReport::ViolationsToString(const ConstraintSet& sigma) const {
 
 namespace {
 
-std::string JsonQuote(std::string_view s) {
-  return "\"" + util::JsonWriter::Escape(s) + "\"";
-}
-
 bool HasCode(const DocumentOutcome& o, StatusCode code) {
   return o.error.code() == code || o.parse.code() == code ||
          o.structure.status.code() == code ||
          o.constraints.status.code() == code;
+}
+
+// The plan's options: the single limits knob wins over whatever
+// `validation.limits` carried (the CLI and tests set BatchOptions::limits
+// only).
+StreamOptions PlanOptions(const BatchOptions& options) {
+  StreamOptions sopt;
+  sopt.validation = options.validation;
+  sopt.validation.limits = options.limits;
+  sopt.limits = options.limits;
+  sopt.spill_budget_bytes = options.stream_spill_budget_bytes;
+  return sopt;
 }
 
 }  // namespace
@@ -152,110 +160,92 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
   // Deterministic by construction: input order, no timings, no thread or
   // worker identities (`stats.threads` is also omitted so one corpus
   // renders identically at every --threads setting).
-  std::string out = "{\n  \"schema\": \"xic-batch-report-v1\",\n";
-  out += "  \"documents\": [";
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const DocumentOutcome& o = outcomes[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": " + JsonQuote(o.name);
-    out += ", \"verdict\": \"" + std::string(VerdictName(o.verdict())) + "\"";
-    out += ", \"attempts\": " + std::to_string(o.attempts);
-    out += ", \"retries\": " + std::to_string(o.attempts - 1);
-    out += ", \"vertices\": " + std::to_string(o.vertices);
-    out += std::string(", \"timed_out\": ") +
-           (HasCode(o, StatusCode::kDeadlineExceeded) ? "true" : "false");
-    out += std::string(", \"faulted\": ") +
-           (HasCode(o, StatusCode::kUnavailable) ? "true" : "false");
+  using Layout = util::JsonWriter::Layout;
+  util::JsonWriter w;
+  auto text = [&w](std::string_view key, std::string_view value) {
+    w.Key(key);
+    w.String(value);
+  };
+  auto number = [&w](std::string_view key, uint64_t value) {
+    w.Key(key);
+    w.Number(value);
+  };
+  w.BeginObject(Layout::kIndented);
+  text("schema", "xic-batch-report-v1");
+  w.Key("documents");
+  w.BeginArray(Layout::kIndented);
+  for (const DocumentOutcome& o : outcomes) {
+    w.BeginObject(Layout::kInline);
+    text("name", o.name);
+    text("verdict", VerdictName(o.verdict()));
+    number("attempts", o.attempts);
+    number("retries", o.attempts - 1);
+    number("vertices", o.stats.vertices);
+    w.Key("timed_out");
+    w.Bool(HasCode(o, StatusCode::kDeadlineExceeded));
+    w.Key("faulted");
+    w.Bool(HasCode(o, StatusCode::kUnavailable));
     if (!o.error.ok()) {
-      out += std::string(", \"error\": {\"code\": \"") +
-             StatusCodeToString(o.error.code()) +
-             "\", \"message\": " + JsonQuote(o.error.message()) + "}";
+      w.Key("error");
+      w.BeginObject(Layout::kInline);
+      text("code", StatusCodeToString(o.error.code()));
+      text("message", o.error.message());
+      w.EndObject();
     }
-    if (!o.parse.ok()) {
-      out += ", \"parse_error\": " + JsonQuote(o.parse.ToString());
-    }
+    if (!o.parse.ok()) text("parse_error", o.parse.ToString());
     if (!o.structure.status.ok()) {
-      out += ", \"structure_error\": " +
-             JsonQuote(o.structure.status.ToString());
+      text("structure_error", o.structure.status.ToString());
     }
     if (!o.constraints.status.ok()) {
-      out += ", \"constraints_error\": " +
-             JsonQuote(o.constraints.status.ToString());
+      text("constraints_error", o.constraints.status.ToString());
     }
     if (!o.structure.violations.empty()) {
-      out += ", \"structure_violations\": [";
-      for (size_t v = 0; v < o.structure.violations.size(); ++v) {
-        const Violation& viol = o.structure.violations[v];
-        if (v > 0) out += ", ";
-        out += "{\"vertex\": " + std::to_string(viol.vertex) +
-               ", \"message\": " + JsonQuote(viol.message) + "}";
+      w.Key("structure_violations");
+      w.BeginArray(Layout::kInline);
+      for (const Violation& v : o.structure.violations) {
+        w.BeginObject(Layout::kInline);
+        number("vertex", v.vertex);
+        text("message", v.message);
+        w.EndObject();
       }
-      out += "]";
+      w.EndArray();
     }
     if (!o.constraints.violations.empty()) {
-      out += ", \"constraint_violations\": [";
-      for (size_t v = 0; v < o.constraints.violations.size(); ++v) {
-        const ConstraintViolation& viol = o.constraints.violations[v];
-        if (v > 0) out += ", ";
-        out += "{\"constraint\": " +
-               JsonQuote(
-                   sigma.constraints[viol.constraint_index].ToString()) +
-               ", \"message\": " + JsonQuote(viol.message) + "}";
+      w.Key("constraint_violations");
+      w.BeginArray(Layout::kInline);
+      for (const ConstraintViolation& v : o.constraints.violations) {
+        w.BeginObject(Layout::kInline);
+        text("constraint", sigma.constraints[v.constraint_index].ToString());
+        text("message", v.message);
+        w.EndObject();
       }
-      out += "]";
+      w.EndArray();
     }
-    out += "}";
+    w.EndObject();
   }
-  out += outcomes.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"stats\": {";
-  out += "\"documents\": " + std::to_string(stats.documents);
-  out += ", \"ok_documents\": " + std::to_string(stats.ok_documents);
-  out += ", \"parse_failures\": " + std::to_string(stats.parse_failures);
-  out += ", \"structurally_invalid\": " +
-         std::to_string(stats.structurally_invalid);
-  out += ", \"constraint_violating\": " +
-         std::to_string(stats.constraint_violating);
-  out += ", \"resource_failures\": " +
-         std::to_string(stats.resource_failures);
-  out += ", \"retries\": " + std::to_string(stats.retries);
-  out += ", \"total_vertices\": " + std::to_string(stats.total_vertices);
-  out += ", \"total_violations\": " +
-         std::to_string(stats.total_violations);
-  out += "}\n}\n";
-  return out;
+  w.EndArray();
+  w.Key("stats");
+  w.BeginObject(Layout::kInline);
+  number("documents", stats.documents);
+  number("ok_documents", stats.ok_documents);
+  number("parse_failures", stats.parse_failures);
+  number("structurally_invalid", stats.structurally_invalid);
+  number("constraint_violating", stats.constraint_violating);
+  number("resource_failures", stats.resource_failures);
+  number("retries", stats.retries);
+  number("total_vertices", stats.total_vertices);
+  number("total_violations", stats.total_violations);
+  w.EndObject();
+  w.EndObject();
+  return w.TakeString() + "\n";
 }
-
-namespace {
-
-// The single limits knob wins over whatever the per-stage option structs
-// carried (the CLI and tests set BatchOptions::limits only).
-BatchOptions NormalizeOptions(BatchOptions options) {
-  options.parse.limits = options.limits;
-  options.validation.limits = options.limits;
-  return options;
-}
-
-StreamOptions PlanOptions(const BatchOptions& options) {
-  StreamOptions sopt;
-  sopt.skip_ignorable_whitespace = options.parse.skip_ignorable_whitespace;
-  sopt.validation = options.validation;
-  sopt.check = options.check;
-  sopt.limits = options.limits;
-  sopt.spill_budget_bytes = options.stream_spill_budget_bytes;
-  return sopt;
-}
-
-}  // namespace
 
 BatchValidator::BatchValidator(const DtdStructure& dtd,
                                const ConstraintSet& sigma,
                                BatchOptions options)
-    : dtd_(dtd),
-      options_(NormalizeOptions(std::move(options))),
+    : options_(std::move(options)),
       plan_(dtd, sigma, PlanOptions(options_)),
-      injector_(options_.faults) {
-  options_.parse.dtd = &dtd_;
-}
+      injector_(options_.faults) {}
 
 Deadline BatchValidator::DocumentDeadline(
     const RunOverrides& overrides) const {
@@ -304,66 +294,30 @@ DocumentOutcome BatchValidator::CheckOneAttempt(
   obs::ScopedSpan span("batch.attempt", "engine");
   span.SetSeq(static_cast<int64_t>(attempt));
   span.AddInt("attempt", static_cast<int64_t>(attempt));
-  // The whole attempt runs under one try: anything a stage (or the fault
-  // injector in throwing mode) throws becomes this document's outcome
-  // instead of tearing down the batch.
+  // The fault policy of the header: false once `site` drew a fault.
+  auto draw = [&](const char* site) {
+    Status s = injector_.MaybeFail(site, doc.name, static_cast<int>(attempt));
+    if (s.ok()) return true;
+    XIC_COUNTER_ADD("engine.batch.faults", 1);
+    span.AddString("fault", site);
+    outcome.error = std::move(s);
+    return false;
+  };
+  // The whole attempt runs under one try: anything the check (or the
+  // fault injector in throwing mode) throws becomes this document's
+  // outcome instead of tearing down the batch.
   try {
-    Deadline deadline = DocumentDeadline(overrides);
-    int n = static_cast<int>(attempt);
-    Clock::time_point t0 = Clock::now();
-    if (Status s = injector_.MaybeFail("parse", doc.name, n); !s.ok()) {
-      XIC_COUNTER_ADD("engine.batch.faults", 1);
-      span.AddString("fault", "parse");
-      outcome.error = std::move(s);
-      return outcome;
-    }
-    XmlParseOptions parse_options = options_.parse;
-    if (overrides.limits.has_value()) {
-      parse_options.limits = *overrides.limits;
-    }
-    parse_options.deadline = deadline;
-    if (overrides.stream) {
-      // Streaming path: the three stages interleave inside one pass, so
-      // the pipeline-stage fault sites collapse onto "parse" and the
-      // whole pass is billed to parse_seconds.
-      StringSource source(doc.text);
-      StreamOutcome so = plan_.Run(source, deadline, parse_options.limits);
-      outcome.parse = std::move(so.parse);
-      // On a parse failure the materialized path never builds a tree and
-      // reports zero vertices; drop the partial count so the report
-      // bytes match.
-      outcome.vertices = outcome.parse.ok() ? so.stats.vertices : 0;
-      outcome.structure = std::move(so.structure);
-      outcome.constraints = std::move(so.constraints);
-      outcome.parse_seconds = Seconds(t0, Clock::now());
-      return outcome;
-    }
-    Result<XmlDocument> parsed = ParseXml(doc.text, parse_options);
-    Clock::time_point t1 = Clock::now();
-    outcome.parse_seconds = Seconds(t0, t1);
-    if (!parsed.ok()) {
-      outcome.parse = parsed.status();
-      return outcome;
-    }
-    const DataTree& tree = parsed.value().tree;
-    outcome.vertices = tree.size();
-    if (Status s = injector_.MaybeFail("structure", doc.name, n); !s.ok()) {
-      XIC_COUNTER_ADD("engine.batch.faults", 1);
-      span.AddString("fault", "structure");
-      outcome.error = std::move(s);
-      return outcome;
-    }
-    outcome.structure = plan_.validator().Validate(tree, deadline);
-    Clock::time_point t2 = Clock::now();
-    outcome.structure_seconds = Seconds(t1, t2);
-    if (Status s = injector_.MaybeFail("constraints", doc.name, n); !s.ok()) {
-      XIC_COUNTER_ADD("engine.batch.faults", 1);
-      span.AddString("fault", "constraints");
-      outcome.error = std::move(s);
-      return outcome;
-    }
-    outcome.constraints = plan_.checker().Check(tree, deadline);
-    outcome.constraints_seconds = Seconds(t2, Clock::now());
+    if (!draw("parse")) return outcome;
+    StringSource source(doc.text);
+    StreamOutcome run =
+        plan_.Run(source, DocumentDeadline(overrides),
+                  overrides.limits.value_or(options_.limits), overrides.stream);
+    outcome.parse = std::move(run.parse);
+    outcome.stats = run.stats;
+    if (!outcome.parse.ok() || !draw("structure")) return outcome;
+    outcome.structure = std::move(run.structure);
+    if (!draw("constraints")) return outcome;
+    outcome.constraints = std::move(run.constraints);
   } catch (const std::exception& e) {
     outcome.error =
         Status::Internal(std::string("uncaught exception: ") + e.what());
@@ -417,7 +371,7 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
       doc_span.AddString("doc", o.name);
       doc_span.AddInt("worker", o.worker);
       doc_span.AddInt("attempts", static_cast<int64_t>(o.attempts));
-      doc_span.AddInt("vertices", static_cast<int64_t>(o.vertices));
+      doc_span.AddInt("vertices", static_cast<int64_t>(o.stats.vertices));
       doc_span.AddInt("structure_steps",
                       static_cast<int64_t>(o.structure.steps));
       doc_span.AddInt("constraint_steps",
@@ -449,12 +403,12 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
         &report.stats.structurally_invalid,
         &report.stats.constraint_violating, &report.stats.ok_documents};
     ++*buckets[static_cast<int>(o.verdict())];
-    report.stats.total_vertices += o.vertices;
+    report.stats.total_vertices += o.stats.vertices;
     report.stats.total_violations +=
         o.structure.violations.size() + o.constraints.violations.size();
-    report.stats.parse_seconds += o.parse_seconds;
-    report.stats.structure_seconds += o.structure_seconds;
-    report.stats.constraints_seconds += o.constraints_seconds;
+    report.stats.parse_seconds += o.stats.parse_seconds;
+    report.stats.structure_seconds += o.stats.structure_seconds;
+    report.stats.constraints_seconds += o.stats.constraints_seconds;
   }
   XIC_COUNTER_ADD("engine.batch.runs", 1);
   XIC_COUNTER_ADD("engine.batch.resource_failures",

@@ -1,18 +1,16 @@
-// Parallel batch validation: the paper's single-document check
-// (Definition 2.4 structure + G |= Sigma) turned into a throughput-
-// oriented pipeline.
+// Batch validation: the paper's per-document check (Definition 2.4
+// structure + G |= Sigma) run over a corpus, by xicbatch and by xicd.
 //
-// A BatchValidator compiles the expensive shared state once -- the DTD's
-// Glushkov automata and the constraint plan, held by one StreamValidator
-// -- and then fans a corpus of documents out across a work-stealing
-// thread pool (engine/thread_pool.h). Per document the pipeline runs
-// either parse -> structural validation -> constraint check (DOM mode)
-// or one streaming pass (RunOverrides::stream), both against the same
-// read-only compiled plan; every mutable intermediate lives on the
-// worker's stack.
+// The check itself is StreamValidator::Run (engine/stream_validator.h),
+// the same entry xicheck's ValidateSelfDescribing drives, compiled once
+// per schema; RunOverrides::stream picks its body driver (a DataTree or
+// events). A BatchValidator adds only what is batch-specific: attempts
+// with backoff, fault draws, per-document deadlines, the work-stealing
+// thread pool (engine/thread_pool.h) and the report. Every mutable
+// intermediate lives on the worker's stack.
 //
 // Determinism: outcomes are stored at the document's input index, and the
-// per-document pipeline is sequential, so the violation report is
+// per-document check is sequential, so the violation report is
 // byte-identical no matter how many threads ran the batch (timings and
 // throughput are reported separately in BatchStats).
 //
@@ -21,9 +19,15 @@
 // that document's outcome -- the batch always completes and reports every
 // other document normally. Transient failures (kUnavailable, e.g. from
 // the FaultInjector seam) are retried up to BatchOptions::max_attempts
-// times; everything else fails fast. Injected fault decisions depend only
+// times; everything else fails fast.
+//
+// One fault policy in both modes: the "parse" site is drawn before the
+// check; once the document parsed, "structure" and then "constraints"
+// are drawn, and a stage's report is published only after its draw
+// passed. A drawn fault sets `error`, keeps the vertex count and drops
+// the report of its stage and of every later one. Decisions depend only
 // on (seed, site, document name, attempt), so a faulted run's report is
-// still byte-identical across thread counts.
+// byte-identical across thread counts and across modes.
 
 #ifndef XIC_ENGINE_BATCH_VALIDATOR_H_
 #define XIC_ENGINE_BATCH_VALIDATOR_H_
@@ -39,7 +43,6 @@
 #include "util/fault_injector.h"
 #include "util/limits.h"
 #include "util/status.h"
-#include "xml/xml_parser.h"
 
 namespace xic {
 
@@ -63,22 +66,16 @@ enum class Verdict {
 /// "constraint_violations" or "ok" (the xicbatch --json and xicd spelling).
 const char* VerdictName(Verdict verdict);
 
-/// Everything the pipeline produced for one document.
-struct DocumentOutcome {
+/// What became of one document: the check's outcome plus the batch's
+/// bookkeeping.
+struct DocumentOutcome : StreamOutcome {
   std::string name;
-  Status parse = Status::OK();  // a parse failure ends the pipeline early
-  ValidationReport structure;
-  ConstraintReport constraints;
   /// Pipeline-level failure: an injected fault that exhausted its
-  /// retries (kUnavailable), or an exception caught escaping a stage
+  /// retries (kUnavailable), or an exception caught escaping the check
   /// (kInternal). Distinct from the document merely being invalid.
   Status error = Status::OK();
   /// Attempts taken; > 1 when transient failures were retried.
   size_t attempts = 1;
-  size_t vertices = 0;
-  double parse_seconds = 0;
-  double structure_seconds = 0;
-  double constraints_seconds = 0;
   /// Delay between batch fan-out and this document's pipeline starting
   /// (approximates time spent waiting in the pool's queues). Timing-only
   /// diagnostics: excluded from ToJson/ViolationsToString.
@@ -87,9 +84,7 @@ struct DocumentOutcome {
   /// Scheduling-dependent; excluded from deterministic reports.
   int worker = -1;
 
-  bool ok() const {
-    return error.ok() && parse.ok() && structure.ok() && constraints.ok();
-  }
+  bool ok() const { return error.ok() && StreamOutcome::ok(); }
 
   /// The status that kept the pipeline from a verdict -- a fault or
   /// exception (`error`), else the first resource-limit, deadline,
@@ -167,12 +162,8 @@ struct BatchOptions {
   /// inline on the calling thread (the sequential baseline).
   size_t num_threads = 0;
   ValidationOptions validation;
-  CheckOptions check;
-  /// Parse options for the corpus; the `dtd` field is overridden with the
-  /// engine's DTD so set-valued attributes tokenize consistently.
-  XmlParseOptions parse;
-  /// Hard input/search limits, copied over `parse.limits` and
-  /// `validation.limits` (single knob for the whole pipeline).
+  /// Hard input/search limits, copied over `validation.limits` (single
+  /// knob for the whole pipeline).
   ResourceLimits limits;
   /// Wall-clock budget per document attempt, 0 = none. Covers parse,
   /// structural validation and the constraint check.
@@ -200,10 +191,9 @@ struct BatchOptions {
 /// recompiling; absent fields fall back to the construction-time
 /// BatchOptions.
 struct RunOverrides {
-  /// Run each document through the streaming pipeline instead of parse
-  /// -> tree -> validate -> check. Verdicts are byte-identical; peak
-  /// memory per worker is bounded by the spill budget instead of the
-  /// largest document's tree.
+  /// Check each document with the event driver instead of a DataTree.
+  /// Reports are byte-identical; peak memory per worker is bounded by
+  /// the spill budget instead of the largest document's tree.
   bool stream = false;
   /// Per-document wall-clock budget for this call, milliseconds (0 =
   /// none). Overrides BatchOptions::document_timeout_ms.
@@ -261,9 +251,8 @@ class BatchValidator {
                                   const RunOverrides& overrides) const;
   Deadline DocumentDeadline(const RunOverrides& overrides) const;
 
-  const DtdStructure& dtd_;
   BatchOptions options_;
-  /// The one compiled plan, shared read-only by DOM and streaming runs.
+  /// The one compiled plan, shared read-only by both body drivers.
   StreamValidator plan_;
   FaultInjector injector_;
 };

@@ -1,6 +1,7 @@
 #include "engine/stream_validator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -26,8 +27,8 @@ StreamValidator::StreamValidator(const DtdStructure& dtd,
 
 // ---------------------------------------------------------------------------
 // StreamRun: tokenizer events -> calls on both halves. One instance per
-// Run(); all mutable
-// state lives here, so a StreamValidator is share-safe.
+// streamed document; all mutable state lives here, so a StreamValidator
+// is share-safe.
 
 class StreamRun {
  public:
@@ -284,11 +285,11 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
     cur = &ev;
   }
   out.stats.input_bytes = tok.consumed_bytes();
-  out.stats.vertices = next_seq_;
   if (!s.ok()) {
     out.parse = std::move(s);
     return out;
   }
+  out.stats.vertices = next_seq_;
   if (compile_ok_) {
     out.structure = structure_.Finish(next_seq_);
   } else {
@@ -309,60 +310,95 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
 // ---------------------------------------------------------------------------
 // Entry points
 
-StreamOutcome StreamValidator::RunCore(StreamTokenizer& tok,
-                                       const StreamEvent* pending,
-                                       const DtdStructure& tok_dtd,
-                                       const Deadline& deadline) const {
-  StreamRun run(*this, tok_dtd, deadline);
-  return run.Run(tok, pending);
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double Seconds(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
+}  // namespace
+
+struct StreamValidator::Prologue {
+  Prologue(ByteSource& source, const ResourceLimits& limits,
+           const Deadline& deadline, size_t chunk_bytes)
+      : tok(source, {.limits = limits,
+                     .deadline = deadline,
+                     .chunk_bytes = chunk_bytes}),
+        dtd(ParseDoctypeDtd(tok, &first, limits, deadline)) {}
+
+  Clock::time_point start = Clock::now();  // the parse stage's clock
+  StreamTokenizer tok;
+  StreamEvent first;  // the event after the DOCTYPE step
+  Result<std::optional<DtdStructure>> dtd;
+};
+
+StreamOutcome StreamValidator::Body(Prologue& prologue,
+                                    const DtdStructure& tok_dtd,
+                                    const Deadline& deadline, bool stream,
+                                    std::optional<DataTree>* tree) const {
+  if (stream) {
+    StreamOutcome out =
+        StreamRun(*this, tok_dtd, deadline).Run(prologue.tok, &prologue.first);
+    out.stats.parse_seconds = Seconds(prologue.start, Clock::now());
+    return out;
+  }
+  StreamOutcome out;
+  Result<DataTree> built =
+      BuildDataTree(prologue.tok, &prologue.first, &tok_dtd,
+                    options_.skip_ignorable_whitespace);
+  const Clock::time_point parsed = Clock::now();
+  out.stats.parse_seconds = Seconds(prologue.start, parsed);
+  out.stats.input_bytes = prologue.tok.consumed_bytes();
+  if (!built.ok()) {
+    out.parse = built.status();
+    return out;
+  }
+  const DataTree& document = built.value();
+  out.stats.vertices = document.size();
+  out.structure = validator_.Validate(document, deadline);
+  const Clock::time_point validated = Clock::now();
+  out.stats.structure_seconds = Seconds(parsed, validated);
+  out.constraints = checker_.Check(document, deadline);
+  out.stats.constraints_seconds = Seconds(validated, Clock::now());
+  if (tree != nullptr) *tree = std::move(built).value();
+  return out;
 }
 
 StreamOutcome StreamValidator::Run(ByteSource& source,
                                    const Deadline& deadline,
-                                   const ResourceLimits& limits) const {
-  StreamTokenizerOptions topt;
-  topt.limits = limits;
-  topt.deadline = deadline;
-  topt.chunk_bytes = options_.chunk_bytes;
-  StreamTokenizer tok(source, topt);
-  StreamEvent ev;
-  Result<std::optional<DtdStructure>> doc_dtd =
-      ParseDoctypeDtd(tok, &ev, limits, deadline);
-  if (!doc_dtd.ok()) {
+                                   const ResourceLimits& limits,
+                                   bool stream) const {
+  Prologue prologue(source, limits, deadline, options_.chunk_bytes);
+  if (!prologue.dtd.ok()) {
     StreamOutcome out;
-    out.parse = doc_dtd.status();
+    out.parse = prologue.dtd.status();
+    out.stats.parse_seconds = Seconds(prologue.start, Clock::now());
     return out;
   }
-  // The document's own internal subset overrides the compiled DTD for
-  // attribute tokenization only (ParseXml semantics); the validation plan
-  // stays precompiled.
-  return RunCore(tok, &ev,
-                 doc_dtd.value().has_value() ? *doc_dtd.value() : dtd_,
-                 deadline);
+  const std::optional<DtdStructure>& own = prologue.dtd.value();
+  return Body(prologue, own.has_value() ? *own : dtd_, deadline, stream,
+              nullptr);
 }
 
 SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
                                             const StreamOptions& options,
                                             bool stream) {
   SelfDescribingResult r;
-  StreamTokenizerOptions topt;
-  topt.limits = options.limits;
-  topt.deadline = options.deadline;
-  topt.chunk_bytes = options.chunk_bytes;
-  StreamTokenizer tok(source, topt);
   // The DOCTYPE step: the subset's DTD, parsed once under the caller's
   // limits and deadline, then its constraint block. A DTD error fails
   // before any content is read; a tokenizer error anywhere in the
   // document outranks a malformed block, so the block's error waits for
   // a clean parse.
-  StreamEvent ev;
-  Result<std::optional<DtdStructure>> dtd =
-      ParseDoctypeDtd(tok, &ev, options.limits, options.deadline);
-  if (!dtd.ok()) {
-    r.outcome.parse = dtd.status();
+  StreamValidator::Prologue prologue(source, options.limits, options.deadline,
+                                     options.chunk_bytes);
+  if (!prologue.dtd.ok()) {
+    r.outcome.parse = prologue.dtd.status();
     return r;
   }
-  r.dtd = std::move(dtd).value();
+  r.dtd = std::move(prologue.dtd).value();
+  StreamEvent& ev = prologue.first;
   Status deferred = Status::OK();
   if (ev.kind == StreamEventKind::kDoctype) {
     r.doctype_name = std::string(ev.name);
@@ -380,10 +416,10 @@ SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
     // surface exactly as with a DTD.
     Status s = Status::OK();
     while (s.ok() && ev.kind != StreamEventKind::kEndDocument) {
-      s = tok.Next(&ev);
+      s = prologue.tok.Next(&ev);
     }
     r.outcome.parse = std::move(s);
-    r.outcome.stats.input_bytes = tok.consumed_bytes();
+    r.outcome.stats.input_bytes = prologue.tok.consumed_bytes();
     return r;
   }
 
@@ -394,22 +430,11 @@ SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
     if (r.well_formed.ok()) sigma = &*r.sigma;
   }
   StreamValidator sv(*r.dtd, *sigma, options);
-  if (stream) {
-    r.outcome = sv.RunCore(tok, &ev, *r.dtd, options.deadline);
-  } else {
-    Result<DataTree> tree = BuildDataTree(tok, &ev, &*r.dtd,
-                                          options.skip_ignorable_whitespace);
-    r.outcome.stats.input_bytes = tok.consumed_bytes();
-    if (!tree.ok()) {
-      r.outcome.parse = tree.status();
-      return r;
-    }
-    r.tree = std::move(tree).value();
-    r.outcome.stats.vertices = r.tree->size();
-    r.outcome.structure = sv.validator().Validate(*r.tree, options.deadline);
-    r.outcome.constraints = sv.checker().Check(*r.tree, options.deadline);
+  r.outcome = sv.Body(prologue, *r.dtd, options.deadline, stream, &r.tree);
+  if (r.outcome.parse.ok() && !deferred.ok()) {
+    r.outcome.parse = std::move(deferred);
+    r.outcome.stats.vertices = 0;
   }
-  if (r.outcome.parse.ok()) r.outcome.parse = std::move(deferred);
   return r;
 }
 

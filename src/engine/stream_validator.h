@@ -1,38 +1,38 @@
-// The full check of Definition 2.4 plus G |= Sigma, run over tokenizer
-// events or over a materialized tree from one compiled plan.
+// The paper's check of one document -- Definition 2.4 (the tree conforms
+// to the DTD's structure) plus G |= Sigma -- compiled once per schema and
+// run by every caller: xicheck through ValidateSelfDescribing, xicbatch
+// and xicd through BatchValidator (engine/batch_validator.h).
 //
-// StreamValidator is the plan for one schema: the DTD's automata
-// (StructuralValidator) and the constraint plan (ConstraintChecker),
-// compiled once. Its two halves, StructureRun (model/structural_validator.h)
-// and ConstraintRun (constraints/checker.h), are fed either by the tree
-// walks (validator().Validate, checker().Check) or, without ever
-// materializing the DataTree, by this file's event driver (Run):
+// StreamValidator is the compiled plan: the DTD's automata
+// (StructuralValidator) and the constraint plan (ConstraintChecker). A
+// document goes through it in three steps, written once:
 //
-//   * Structure: each open element carries a StructureRun::Vertex whose
-//     child word grows as child labels and qualifying text runs arrive;
-//     attributes are checked at the start tag and the word is matched
-//     against the content model at the end tag. Peak state is one child
-//     word per open element.
+//   1. one StreamTokenizer over the bytes, under the call's limits,
+//      deadline and chunk size;
+//   2. one DOCTYPE step (ParseDoctypeDtd): the internal subset, if any,
+//      parsed once under the same limits;
+//   3. the body, by one of two drivers over the same tokenizer. DOM mode
+//      builds a DataTree (BuildDataTree) and walks it with
+//      validator().Validate and checker().Check. Stream mode (StreamRun)
+//      feeds the same two per-vertex halves, StructureRun
+//      (model/structural_validator.h) and ConstraintRun
+//      (constraints/checker.h), from tokenizer events, never holding the
+//      tree: each open element carries its content-model run and the
+//      constraint fields it has resolved so far (attributes at the start
+//      tag, unique sub-element text captured from the subtree), and the
+//      constraint tuple logs spill to disk past spill_budget_bytes.
+//      (Exception: inverse constraints are evaluated in memory; DESIGN.md
+//      records the bound.)
 //
-//   * Constraints: the fields the constraints read are resolved while
-//     the element streams by -- attributes at the start tag, unique
-//     sub-element text captured from the subtree -- and handed to the
-//     ConstraintRun at the end tag. Its tuple logs spill to disk past
-//     spill_budget_bytes, so memory stays bounded by the budget, not the
-//     extent sizes. (Exception: inverse constraints are evaluated in
-//     memory; DESIGN.md records the bound.)
+// Vertex ids are pre-order in both drivers and the halves are shared, so
+// the StreamOutcome is byte-identical in both modes on every document;
+// the stream fuzz oracle (src/fuzzing/oracles.h) holds the two drivers
+// to that.
 //
-// Vertex ids are ParseXml's pre-order AddVertex ids and both halves are
-// shared, so ValidationReport::ToString() and ConstraintReport::ToString()
-// are byte-identical in both modes on every document.
-//
-// ValidateSelfDescribing is the one check of a self-describing document
-// (DTD^C in the DOCTYPE internal subset, Definition 2.3), as xicheck runs
-// it: one DOCTYPE step (the subset parsed once, under the caller's
-// limits, then its constraint block), one compiled plan, and a choice of
-// body driver -- events (`stream`) or a DataTree built from the same
-// tokenizer. The stream fuzz oracle (src/fuzzing/oracles.h) compares the
-// two drivers byte for byte.
+// Run() checks a document against the plan's schema. ValidateSelfDescribing
+// checks a self-describing document (DTD^C in the DOCTYPE internal subset,
+// Definition 2.3) against the schema it carries: after the DOCTYPE step it
+// reads the subset's constraint block, compiles a plan and runs the body.
 
 #ifndef XIC_ENGINE_STREAM_VALIDATOR_H_
 #define XIC_ENGINE_STREAM_VALIDATOR_H_
@@ -72,18 +72,25 @@ struct StreamOptions {
   size_t spill_budget_bytes = 64u << 20;  // 64 MiB
 };
 
-/// Resource/diagnostic counters for one streaming run.
+/// Counters and stage times for one run.
 struct StreamStats {
+  /// Vertices of the document; 0 whenever the parse failed.
   size_t vertices = 0;
   uint64_t input_bytes = 0;
-  /// Extent-log records appended across all constraints.
+  /// Extent-log records appended across all constraints (stream mode).
   size_t extent_records = 0;
   uint64_t spilled_bytes = 0;
   size_t spill_runs = 0;
+  /// Wall time per stage. DOM mode times each stage (parse includes the
+  /// DOCTYPE step); stream mode interleaves them in one pass, which is
+  /// billed to parse_seconds.
+  double parse_seconds = 0;
+  double structure_seconds = 0;
+  double constraints_seconds = 0;
 };
 
-/// The streaming pipeline's verdict; mirrors DocumentOutcome's
-/// parse/structure/constraints split so callers render identically.
+/// The verdict on one document. The structure and constraint reports are
+/// empty when the parse failed.
 struct StreamOutcome {
   Status parse = Status::OK();  // tokenizer / DTD errors end the run
   ValidationReport structure;
@@ -99,10 +106,9 @@ struct SelfDescribingResult;
 
 /// The compiled plan of the full check for one schema: the DTD's
 /// automata (StructuralValidator) and the constraint plan
-/// (ConstraintChecker), compiled once. Run() validates any number of byte
-/// streams against it; validator() and checker() validate resident
-/// trees. Thread-safe after construction (all per-document state lives
-/// on the caller's stack).
+/// (ConstraintChecker), compiled once. Run() checks any number of
+/// documents against it. Thread-safe after construction (all
+/// per-document state lives on the caller's stack).
 class StreamValidator {
  public:
   /// The DTD and Sigma must outlive the validator and stay unmodified.
@@ -118,26 +124,32 @@ class StreamValidator {
   const StructuralValidator& validator() const { return validator_; }
   const ConstraintChecker& checker() const { return checker_; }
 
+  /// Streams one document under the construction-time deadline and limits.
   StreamOutcome Run(ByteSource& source) const {
-    return Run(source, options_.deadline, options_.limits);
+    return Run(source, options_.deadline, options_.limits, /*stream=*/true);
   }
-  /// Run with a per-call deadline and input limits (xicd threads each
-  /// request's budget through here without recompiling).
+  /// Checks one document under a per-call deadline and input limits (xicd
+  /// threads each request's budget through here without recompiling).
+  /// `stream` picks the body driver; both give the same outcome bytes. A
+  /// document's own internal subset governs only how its attribute values
+  /// tokenize (ParseXml semantics); the plan stays the compiled one.
   StreamOutcome Run(ByteSource& source, const Deadline& deadline,
-                    const ResourceLimits& limits) const;
+                    const ResourceLimits& limits, bool stream) const;
 
  private:
   friend class StreamRun;
   friend SelfDescribingResult ValidateSelfDescribing(
       ByteSource& source, const StreamOptions& options, bool stream);
 
-  /// Drives a tokenizer past its DOCTYPE step. `pending` is an event the
-  /// caller already pulled (a DOCTYPE is skipped), or null; `tok_dtd` the
-  /// DTD governing attribute tokenization (the document's own internal
-  /// subset when present, like ParseXml).
-  StreamOutcome RunCore(StreamTokenizer& tok, const StreamEvent* pending,
-                        const DtdStructure& tok_dtd,
-                        const Deadline& deadline) const;
+  /// Steps 1 and 2: the tokenizer, pulled through the DOCTYPE step.
+  struct Prologue;
+
+  /// Step 3: the rest of the document, by the chosen driver. `tok_dtd`
+  /// governs attribute tokenization. In DOM mode the tree is moved into
+  /// *tree when `tree` is non-null and the document parsed.
+  StreamOutcome Body(Prologue& prologue, const DtdStructure& tok_dtd,
+                     const Deadline& deadline, bool stream,
+                     std::optional<DataTree>* tree) const;
 
   const DtdStructure& dtd_;
   StreamOptions options_;
@@ -163,10 +175,10 @@ struct SelfDescribingResult {
   std::optional<DataTree> tree;
 };
 
-/// Checks a self-describing document read from `source`. With `stream`
-/// the body feeds the plan event by event and memory stays bounded by
-/// the spill budget; otherwise the body becomes a DataTree that the same
-/// plan validates and checks. Both modes produce the same outcome bytes.
+/// Checks a self-describing document read from `source` (xicheck). With
+/// `stream` memory stays bounded by the spill budget; otherwise the body
+/// becomes a DataTree, kept in the result. Both modes produce the same
+/// outcome bytes.
 SelfDescribingResult ValidateSelfDescribing(ByteSource& source,
                                             const StreamOptions& options,
                                             bool stream);

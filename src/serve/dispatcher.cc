@@ -120,7 +120,9 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
                                              RequestTiming* timing) {
   // The DOCTYPE as the one tokenizer reads it. Its raw internal subset is
   // the cache key material: documents sharing a DOCTYPE byte for byte
-  // share a compiled plan. Limits apply when the document is validated.
+  // share a compiled plan. The subset's DTD is parsed under the
+  // configured limits; the request's own limits apply when the document
+  // is validated.
   StringSource source(schema_text);
   StreamTokenizer tokenizer(source, {.limits = ResourceLimits::Unlimited()});
   StreamEvent doctype;
@@ -134,7 +136,7 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
     return Status::InvalidArgument("DOCTYPE has no internal subset");
   }
   const std::string name(doctype.name);
-  const std::string subset(doctype.internal_subset);
+  const std::string_view subset = doctype.internal_subset;
   const std::string key = ContentHash(subset);
   return cache_.GetOrCompile(
       key,
@@ -149,7 +151,8 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
           if (timing != nullptr) timing->fault = true;
           return s;
         }
-        Result<DtdC> parsed = ParseDtdC(subset, name);
+        Result<DtdC> parsed =
+            ParseDtdC(subset, name, {.limits = options_.limits});
         if (!parsed.ok()) return parsed.status();
         auto plan = std::make_shared<CompiledPlan>();
         plan->key = cache_key;

@@ -240,7 +240,7 @@ class DtdParser {
 
 }  // namespace
 
-Result<DtdStructure> ParseDtd(const std::string& text,
+Result<DtdStructure> ParseDtd(std::string_view text,
                               const std::string& root,
                               const DtdParseOptions& options) {
   obs::ScopedSpan span("dtd.parse", "xml");

@@ -15,6 +15,7 @@
 #define XIC_XML_DTD_PARSER_H_
 
 #include <string>
+#include <string_view>
 
 #include "model/dtd_structure.h"
 #include "util/limits.h"
@@ -32,7 +33,7 @@ struct DtdParseOptions {
 
 /// Parses a DTD (a sequence of declarations, e.g. the internal subset of a
 /// DOCTYPE). `root` becomes the structure's root element type r.
-Result<DtdStructure> ParseDtd(const std::string& text,
+Result<DtdStructure> ParseDtd(std::string_view text,
                               const std::string& root,
                               const DtdParseOptions& options = {});
 

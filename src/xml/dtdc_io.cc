@@ -102,9 +102,10 @@ Result<std::optional<ConstraintSet>> ParseConstraintBlock(
   return std::optional<ConstraintSet>(std::move(sigma));
 }
 
-Result<DtdC> ParseDtdC(const std::string& text, const std::string& root) {
+Result<DtdC> ParseDtdC(std::string_view text, const std::string& root,
+                       const DtdParseOptions& options) {
   DtdC out;
-  XIC_ASSIGN_OR_RETURN(out.dtd, ParseDtd(text, root));
+  XIC_ASSIGN_OR_RETURN(out.dtd, ParseDtd(text, root, options));
   XIC_ASSIGN_OR_RETURN(out.sigma, ParseConstraintBlock(text));
   return out;
 }

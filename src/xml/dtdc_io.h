@@ -27,6 +27,7 @@
 #include "constraints/constraint.h"
 #include "model/dtd_structure.h"
 #include "util/status.h"
+#include "xml/dtd_parser.h"
 #include "xml/xml_parser.h"
 
 namespace xic {
@@ -54,8 +55,9 @@ Result<std::optional<ConstraintSet>> ParseConstraintBlock(
     std::string_view dtd_text);
 
 /// Parses DTD text, recovering an embedded constraint block if present:
-/// ParseDtd (default limits) plus ParseConstraintBlock.
-Result<DtdC> ParseDtdC(const std::string& text, const std::string& root);
+/// ParseDtd (under `options`) plus ParseConstraintBlock.
+Result<DtdC> ParseDtdC(std::string_view text, const std::string& root,
+                       const DtdParseOptions& options = {});
 
 /// A complete self-describing document: XML with a DOCTYPE internal
 /// subset carrying declarations and the constraint block.

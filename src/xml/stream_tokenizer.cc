@@ -473,6 +473,11 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
   XIC_RETURN_IF_ERROR(SkipSpace());
   doctype_subset_.clear();
   bool has_subset = false;
+  // Once eof_ holds (in place, from the start) input never moves, so the
+  // event views the subset; otherwise it is copied as it streams past.
+  const bool view_subset = eof_;
+  const char* subset_begin = nullptr;
+  size_t subset_size = 0;
   if (available() > 0 && at(0) == '[') {
     has_subset = true;
     Consume(1);
@@ -480,13 +485,15 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
     // The subset ends at the first ']' outside comments, PIs and quoted
     // literals (comments may contain ']', e.g. embedded constraint blocks
     // with multi-attribute keys). Streamed with a mode machine; all
-    // scanned bytes are accumulated verbatim into doctype_subset_.
+    // scanned bytes are taken verbatim.
     enum class Mode { kPlain, kComment, kPi, kQuote };
     Mode mode = Mode::kPlain;
     char quote = 0;
     bool done = false;
+    subset_begin = data_ + start_;
     auto flush = [&](size_t count) {
-      doctype_subset_.append(data_ + start_, count);
+      if (!view_subset) doctype_subset_.append(data_ + start_, count);
+      subset_size += count;
       Consume(count);
     };
     auto fill = [&]() -> Status {
@@ -565,7 +572,9 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
   }
   event->kind = StreamEventKind::kDoctype;
   event->name = doctype_name_;
-  event->internal_subset = doctype_subset_;
+  event->internal_subset = view_subset
+                               ? std::string_view(subset_begin, subset_size)
+                               : std::string_view(doctype_subset_);
   event->has_internal_subset = has_subset;
   return Status::OK();
 }

@@ -105,7 +105,7 @@ Result<std::optional<DtdStructure>> ParseDoctypeDtd(
   options.limits = limits;
   options.deadline = deadline;
   XIC_ASSIGN_OR_RETURN(DtdStructure dtd,
-                       ParseDtd(std::string(first->internal_subset),
+                       ParseDtd(first->internal_subset,
                                 std::string(first->name), options));
   return std::optional<DtdStructure>(std::move(dtd));
 }

@@ -69,7 +69,7 @@ Result<std::optional<DtdStructure>> ParseDoctypeDtd(
 /// null; a DOCTYPE is skipped) and the rest of `tok`'s events: one vertex
 /// per start tag (pre-order ids), one string child per text run. Values
 /// of attributes `dtd` declares set-valued are split into sets (dtd may
-/// be null). ValidateSelfDescribing drives it in DOM mode.
+/// be null). StreamValidator drives it in DOM mode.
 Result<DataTree> BuildDataTree(StreamTokenizer& tok,
                                const StreamEvent* pending,
                                const DtdStructure* dtd,

@@ -342,4 +342,151 @@ TEST(BatchValidator, CleanCorpusIsAllOk) {
   EXPECT_EQ(report.ViolationsToString(sigma), "");
 }
 
+// The xic-batch-report-v1 bytes ToJson must reproduce exactly.
+constexpr char kEmptyJson[] = R"json({
+  "schema": "xic-batch-report-v1",
+  "documents": [],
+  "stats": {"documents": 0, "ok_documents": 0, "parse_failures": 0, "structurally_invalid": 0, "constraint_violating": 0, "resource_failures": 0, "retries": 0, "total_vertices": 0, "total_violations": 0}
+}
+)json";
+constexpr char kFullJson[] = R"json({
+  "schema": "xic-batch-report-v1",
+  "documents": [
+    {"name": "ok\t\"quoted\"\\name\u0001", "verdict": "ok", "attempts": 1, "retries": 0, "vertices": 33, "timed_out": false, "faulted": false},
+    {"name": "broken", "verdict": "parse_error", "attempts": 1, "retries": 0, "vertices": 0, "timed_out": false, "faulted": false, "parse_error": "ParseError: XML: content after document element at line 1, column 660"},
+    {"name": "structural", "verdict": "invalid_structure", "attempts": 1, "retries": 0, "vertices": 34, "timed_out": false, "faulted": false, "structure_violations": [{"vertex": 0, "message": "children [book book book book author] do not match content model of catalog"}]},
+    {"name": "everything", "verdict": "invalid_structure", "attempts": 1, "retries": 0, "vertices": 34, "timed_out": false, "faulted": false, "structure_violations": [{"vertex": 0, "message": "children [book book book book author] do not match content model of catalog"}], "constraint_violations": [{"constraint": "entry.isbn -> entry", "message": "duplicate key [i3-0]"}, {"constraint": "ref.to <=S entry.isbn", "message": "dangling reference \"ghost\""}]},
+    {"name": "violating", "verdict": "constraint_violations", "attempts": 1, "retries": 0, "vertices": 33, "timed_out": false, "faulted": false, "constraint_violations": [{"constraint": "entry.isbn -> entry", "message": "duplicate key [i4-0]"}]},
+    {"name": "faulted", "verdict": "infrastructure_failure", "attempts": 2, "retries": 1, "vertices": 33, "timed_out": false, "faulted": true, "error": {"code": "Unavailable", "message": "injected fault at structure for faulted (attempt 2)"}},
+    {"name": "cancelled", "verdict": "infrastructure_failure", "attempts": 1, "retries": 0, "vertices": 0, "timed_out": true, "faulted": false, "parse_error": "DeadlineExceeded: XML parse: cancelled"},
+    {"name": "stage-statuses", "verdict": "infrastructure_failure", "attempts": 1, "retries": 0, "vertices": 33, "timed_out": true, "faulted": false, "structure_error": "ResourceExhausted: max_automaton_states: too many states", "constraints_error": "DeadlineExceeded: check deadline"}
+  ],
+  "stats": {"documents": 8, "ok_documents": 1, "parse_failures": 2, "structurally_invalid": 3, "constraint_violating": 4, "resource_failures": 5, "retries": 6, "total_vertices": 7, "total_violations": 8}
+}
+)json";
+
+// Byte golden for BatchReport::ToJson: the empty corpus, every verdict,
+// the error / timed_out / faulted classifications, every status field,
+// both violation arrays and a name that needs escaping.
+TEST(BatchValidator, JsonReportGolden) {
+  DtdStructure dtd = CatalogDtd();
+  ConstraintSet sigma = CatalogSigma();
+  BatchValidator validator(dtd, sigma, Threads(1));
+  EXPECT_EQ(validator.Run({}).ToJson(sigma), kEmptyJson);
+
+  BatchReport report = validator.Run({
+      {"ok\t\"quoted\"\\name\x01", MakeDoc(0, false, false, false, false)},
+      {"broken", MakeDoc(1, false, false, false, /*parse_error=*/true)},
+      {"structural", MakeDoc(2, false, false, /*structural=*/true, false)},
+      {"everything", MakeDoc(3, true, true, true, false)},
+      {"violating", MakeDoc(4, /*dup_key=*/true, false, false, false)},
+  });
+  // An injected fault that outlives its retries.
+  BatchOptions faulty = Threads(1);
+  faulty.faults.rate = 1.0;
+  faulty.faults.sites = {"structure"};
+  faulty.faults.transient_attempts = 3;
+  faulty.max_attempts = 2;
+  BatchValidator faulted(dtd, sigma, faulty);
+  report.outcomes.push_back(
+      faulted.Run({{"faulted", MakeDoc(5, false, false, false, false)}})
+          .outcomes[0]);
+  // A cancelled request: the deadline has expired before the parse.
+  CancellationToken cancelled;
+  cancelled.Cancel();
+  RunOverrides overrides;
+  overrides.cancellation = &cancelled;
+  report.outcomes.push_back(
+      validator
+          .Run({{"cancelled", MakeDoc(6, false, false, false, false)}},
+               overrides)
+          .outcomes[0]);
+  // Stage statuses no small document trips on its own.
+  DocumentOutcome stage = report.outcomes[0];
+  stage.name = "stage-statuses";
+  stage.structure.status =
+      Status::LimitExceeded("max_automaton_states", "too many states");
+  stage.constraints.status = Status::DeadlineExceeded("check deadline");
+  report.outcomes.push_back(stage);
+  report.stats.documents = 8;
+  report.stats.ok_documents = 1;
+  report.stats.parse_failures = 2;
+  report.stats.structurally_invalid = 3;
+  report.stats.constraint_violating = 4;
+  report.stats.resource_failures = 5;
+  report.stats.retries = 6;
+  report.stats.total_vertices = 7;
+  report.stats.total_violations = 8;
+  EXPECT_EQ(report.ToJson(sigma), kFullJson);
+}
+
+// fault_injection_test's adversarial corpus over this file's catalog:
+// documents past the depth, byte and expansion limits the parity test
+// sets, a syntax error and a key violation; then clean and violating
+// catalogs.
+std::vector<BatchDocument> AdversarialCorpus() {
+  std::vector<BatchDocument> corpus;
+  std::string deep;
+  for (int i = 0; i < 200; ++i) deep += "<catalog>";
+  for (int i = 0; i < 200; ++i) deep += "</catalog>";
+  corpus.push_back({"deep", deep});
+  corpus.push_back({"huge", "<catalog>" + std::string(5000, ' ') +
+                                "</catalog>"});
+  std::string bomb = "<catalog><book><entry isbn=\"";
+  for (int i = 0; i < 150; ++i) bomb += "&#88;";
+  corpus.push_back({"bomb", bomb + "\"/></book></catalog>"});
+  corpus.push_back({"broken", "<catalog><book></catalog>"});
+  corpus.push_back({"dup-key", MakeDoc(0, /*dup_key=*/true, false, false,
+                                       false)});
+  for (BatchDocument& doc : MakeCorpus(40)) corpus.push_back(std::move(doc));
+  return corpus;
+}
+
+// DOM and stream mode are one check with one fault policy: at any thread
+// count, with and without injected faults, they render the same reports.
+TEST(BatchValidator, StreamAndDomModesRenderTheSameReports) {
+  DtdStructure dtd = CatalogDtd();
+  ConstraintSet sigma = CatalogSigma();
+  std::vector<BatchDocument> corpus = AdversarialCorpus();
+  RunOverrides stream;
+  stream.stream = true;
+  // No faults; faults that clear on the retry; faults that outlive it.
+  for (int transient : {0, 1, 2}) {
+    for (size_t threads : {1u, 4u}) {
+      BatchOptions options = Threads(threads);
+      options.limits.max_tree_depth = 64;
+      options.limits.max_document_bytes = 4096;
+      options.limits.max_expansion_bytes = 64;
+      options.faults.rate = transient == 0 ? 0.0 : 0.3;
+      options.faults.seed = 1234;
+      options.faults.transient_attempts = transient;
+      options.max_attempts = 2;
+      BatchValidator validator(dtd, sigma, options);
+      BatchReport dom = validator.Run(corpus);
+      BatchReport streamed = validator.Run(corpus, stream);
+      const std::string json = dom.ToJson(sigma);
+      EXPECT_EQ(streamed.ToJson(sigma), json)
+          << "transient " << transient << ", " << threads << " threads";
+      EXPECT_EQ(streamed.ViolationsToString(sigma),
+                dom.ViolationsToString(sigma))
+          << "transient " << transient << ", " << threads << " threads";
+      // The corpus reaches every verdict, and the faults reach the sites
+      // drawn after the parse.
+      EXPECT_GT(dom.stats.resource_failures, 0u);
+      EXPECT_GT(dom.stats.parse_failures, 0u);
+      EXPECT_GT(dom.stats.structurally_invalid, 0u);
+      EXPECT_GT(dom.stats.constraint_violating, 0u);
+      EXPECT_GT(dom.stats.ok_documents, 0u);
+      if (transient == 1) {
+        EXPECT_NE(json.find("\"retries\": 1"), std::string::npos);
+      }
+      if (transient == 2) {
+        EXPECT_NE(json.find("injected fault at structure"), std::string::npos);
+        EXPECT_NE(json.find("injected fault at constraints"),
+                  std::string::npos);
+      }
+    }
+  }
+}
+
 }  // namespace

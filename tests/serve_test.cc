@@ -695,6 +695,57 @@ TEST(DispatcherTest, ValidateRetriesAtOneLayerOnly) {
   EXPECT_EQ(recovered.headers.at("verdict"), "ok");
 }
 
+// The same through validate.stream: both body drivers draw the engine's
+// "structure" and "constraints" sites once the document parsed.
+TEST(DispatcherTest, ValidateStreamRetriesAtOneLayerOnly) {
+  DispatcherOptions options = FastOptions();
+  options.faults.rate = 1.0;
+  options.faults.transient_attempts = 1;
+  options.faults.sites = {"constraints"};
+  Dispatcher dispatcher(options);
+  Result<PlanPtr> plan = dispatcher.CompileIntoCache(kSchema, "warm");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string schema = plan.value()->key;
+  Response flaky = dispatcher.Handle(MakeRequest(
+      "validate.stream", kValidDoc, {{"id", "r1"}, {"schema", schema}}));
+  EXPECT_EQ(flaky.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(flaky.headers.at("attempts"), "1");
+  Response recovered = dispatcher.Handle(MakeRequest(
+      "validate.stream", kValidDoc,
+      {{"id", "r1"}, {"schema", schema}, {"retries", "1"}}));
+  EXPECT_TRUE(recovered.status.ok()) << recovered.status.ToString();
+  EXPECT_EQ(recovered.headers.at("attempts"), "2");
+  EXPECT_EQ(recovered.headers.at("verdict"), "ok");
+  EXPECT_EQ(recovered.headers.at("mode"), "stream");
+}
+
+// A schema's DTD is parsed under DispatcherOptions::limits, the limits
+// its documents are later validated under: a content model nested deeper
+// than the default max_content_model_depth (256) compiles once the limit
+// is raised, and the default still refuses it.
+TEST(DispatcherTest, SchemaCompilesUnderConfiguredLimits) {
+  constexpr int kDepth = 300;
+  const std::string text =
+      "<!DOCTYPE r [\n<!ELEMENT r " + std::string(kDepth, '(') + "a" +
+      std::string(kDepth, ')') +
+      ">\n<!ELEMENT a EMPTY>\n<!ATTLIST a k CDATA #REQUIRED>\n"
+      "<!-- xic:constraints language=L_u\n  key a.k\n-->\n]>\n"
+      "<r><a k=\"1\"/></r>\n";
+  DispatcherOptions options = FastOptions();
+  options.limits.max_content_model_depth = 1000;
+  Dispatcher dispatcher(options);
+  Response put = dispatcher.Handle(MakeRequest("schema.put", text));
+  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+  for (const char* verb : {"validate", "validate.stream"}) {
+    Response validated = dispatcher.Handle(MakeRequest(verb, text));
+    ASSERT_TRUE(validated.status.ok()) << verb << ": " << validated.status;
+    EXPECT_EQ(validated.headers.at("verdict"), "ok") << verb;
+  }
+  Dispatcher defaults(FastOptions());
+  EXPECT_EQ(defaults.Handle(MakeRequest("schema.put", text)).status.code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(DispatcherTest, OversizedBodyIsRefusedBeforeParsing) {
   DispatcherOptions options = FastOptions();
   options.max_request_bytes = 16;
